@@ -47,7 +47,7 @@ from .event_tree import (
     tree_outline,
 )
 from .detectors import SyntheticDetector, ThresholdDetector, detector_grid
-from .monitor import Assessment, Monitor, MonitorConfig, check_threshold
+from .monitor import Assessment, Monitor, MonitorConfig
 from .simulation import (
     AccuracyOracle,
     Batch,

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ValidationError
+from .errors import ValidationError, check_number
 from .estimation import DetectorProfile
 from .experiments import SweepGrid
 from .monitor import MonitorConfig
@@ -66,7 +66,7 @@ class StreamSection:
             "stream", payload, _STREAM_KEYS, {"batch_size", "shift_rate", "horizon"}
         )
         threshold = payload.get("correct_threshold")
-        if threshold is not None and not 0.0 < threshold <= 1.0:
+        if threshold is not None and not 0.0 < check_number("correct_threshold", threshold) <= 1.0:
             raise ValidationError(
                 f"correct_threshold must be in (0, 1], got {threshold!r}"
             )
@@ -161,6 +161,30 @@ class SweepSection:
     risk_horizon: int = 4000
     risk_trace_length: int = 500
 
+    def __post_init__(self) -> None:
+        for name in (
+            "seeds_per_cell",
+            "master_seed",
+            "horizon",
+            "validation_batches",
+            "risk_horizon",
+            "risk_trace_length",
+        ):
+            check_number(name, getattr(self, name), integer=True)
+        for name in ("ba_floor", "prior_rate", "percentile"):
+            check_number(name, getattr(self, name))
+        for name in ("grid_step", "mixture_fraction", "operating_rate"):
+            if getattr(self, name) is not None:
+                check_number(name, getattr(self, name))
+        for name in ("batch_sizes", "trace_lengths"):
+            for value in getattr(self, name):
+                check_number(f"{name} entry", value, integer=True)
+        for name in ("rates", "classifier_deltas", "detector_deltas"):
+            for value in getattr(self, name):
+                check_number(f"{name} entry", value)
+        if not isinstance(self.uniform, bool):
+            raise ValidationError(f"uniform must be true or false, got {self.uniform!r}")
+
     def resolved_profiles(self) -> tuple[DetectorProfile, ...]:
         if self.profiles is not None:
             return self.profiles
@@ -218,8 +242,15 @@ class SweepSection:
         _check_keys("sweep", payload, _SWEEP_KEYS)
         kwargs = dict(payload)
         if kwargs.get("profiles") is not None:
+            pairs = kwargs["profiles"]
+            if not isinstance(pairs, (list, tuple)) or not all(
+                isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in pairs
+            ):
+                raise ValidationError(
+                    f"profiles must be a list of [tpr, tnr] pairs, got {pairs!r}"
+                )
             kwargs["profiles"] = tuple(
-                DetectorProfile(tpr=pair[0], tnr=pair[1]) for pair in kwargs["profiles"]
+                DetectorProfile(tpr=pair[0], tnr=pair[1]) for pair in pairs
             )
         for key in (
             "rates",
@@ -229,6 +260,8 @@ class SweepSection:
             "detector_deltas",
         ):
             if key in kwargs and kwargs[key] is not None:
+                if not isinstance(kwargs[key], (list, tuple)):
+                    raise ValidationError(f"{key} must be a list, got {kwargs[key]!r}")
                 kwargs[key] = tuple(kwargs[key])
         return cls(**kwargs)
 

@@ -17,7 +17,13 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .errors import CalibrationError, EstimationError, UninformativeDetectorError, ValidationError
+from .errors import (
+    CalibrationError,
+    EstimationError,
+    UninformativeDetectorError,
+    ValidationError,
+    check_number,
+)
 from .event_tree import (
     BASE_CONDITIONS,
     Condition,
@@ -40,7 +46,7 @@ class DetectorProfile:
 
     def __post_init__(self) -> None:
         for name, value in (("tpr", self.tpr), ("tnr", self.tnr)):
-            if not 0.0 <= value <= 1.0:
+            if not 0.0 <= check_number(name, value) <= 1.0:
                 raise ValidationError(f"{name} must be in [0, 1], got {value!r}")
 
     @property
@@ -261,14 +267,24 @@ class ConditionalAccuracyTable:
     @classmethod
     def from_dict(cls, payload: dict) -> "ConditionalAccuracyTable":
         cells = {}
+        if not isinstance(payload, dict):
+            raise ValidationError(f"accuracies must be an object, got {payload!r}")
         for key, cell in payload.items():
             condition = parse_condition(key)
-            accuracy = cell.get("accuracy")
-            support = int(cell.get("support", 0))
-            if accuracy is not None and not 0.0 <= accuracy <= 1.0:
+            if not isinstance(cell, dict):
                 raise ValidationError(
-                    f"accuracy for condition {key!r} must be in [0, 1], got {accuracy!r}"
+                    f"accuracy cell {key!r} must be an object, got {cell!r}"
                 )
+            accuracy = cell.get("accuracy")
+            if accuracy is not None:
+                check_number(f"accuracy for condition {key!r}", accuracy)
+                if not 0.0 <= accuracy <= 1.0:
+                    raise ValidationError(
+                        f"accuracy for condition {key!r} must be in [0, 1], got {accuracy!r}"
+                    )
+            support = check_number(
+                f"support for condition {key!r}", cell.get("support", 0), integer=True
+            )
             cells[condition] = AccuracyCell(accuracy, support)
         return cls(cells)
 

@@ -14,7 +14,9 @@ Traversal multiplies edge probabilities along each root-to-leaf path, so
 expected accuracy and expected monetary risk are sums of path probability
 times the leaf's correctness or cost.  Every traversal value is affine in
 each individual parameter, which is what makes exact sensitivities cheap
-(see :func:`sensitivity`).
+(see :func:`sensitivity`).  A monitor evaluates one tree at a new event
+rate for every verdict; :func:`compile_tree` flattens it once into a leaf
+table whose evaluation repeats the traversal's arithmetic exactly.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Mapping, Union
 
-from .errors import ConfigurationError, ValidationError
+from .errors import ConfigurationError, ValidationError, check_number
 
 # Probability bookkeeping tolerance: generous for trees of depth <= 3.
 PROB_TOL = 1e-9
@@ -157,9 +159,11 @@ CostModel = Mapping[str, float]
 
 
 def validate_costs(costs: CostModel) -> None:
-    """Reject negative or non-numeric cost entries."""
+    """Reject negative, non-finite or non-numeric cost entries."""
+    if not isinstance(costs, Mapping):
+        raise ValidationError(f"costs must be an object, got {costs!r}")
     for outcome, cost in costs.items():
-        if not isinstance(cost, (int, float)) or cost < 0:
+        if check_number(f"cost for outcome {outcome!r}", cost) < 0:
             raise ValidationError(
                 f"cost for outcome {outcome!r} must be a non-negative number, got {cost!r}"
             )
@@ -368,6 +372,103 @@ def expected_risk(tree: EventTree, costs: CostModel | None = None) -> float:
             continue
         total += prob * cost
     return total
+
+
+class CompiledTree:
+    """A tree flattened into a leaf table for repeated evaluation.
+
+    Only the two root edges (``1 - p_event`` and ``p_event``) depend on the
+    event rate, so each leaf keeps its root branch (0 or 1), the tuple of
+    deeper, rate-independent edge probabilities, its correctness and its
+    cost.  :meth:`evaluate` then performs the floating-point operations of
+    :func:`iter_leaves` followed by :func:`expected_accuracy` and
+    :func:`expected_risk`, in the same order, so its results equal theirs
+    bit for bit on a tree rebuilt at the new rate.
+    """
+
+    __slots__ = ("leaves", "priced")
+
+    def __init__(
+        self,
+        leaves: tuple[tuple[int, tuple[float, ...], float | None, float | None], ...],
+        priced: bool,
+    ) -> None:
+        self.leaves = leaves
+        self.priced = priced
+
+    def evaluate(
+        self, p_event: float, intervention_counts_as: str = "correct"
+    ) -> tuple[float, float | None]:
+        """Expected accuracy and expected risk (None unless priced) at a rate."""
+        if not 0.0 <= p_event <= 1.0:
+            raise ValidationError(f"p_event must be in [0, 1], got {p_event!r}")
+        if intervention_counts_as == "correct":
+            count_interventions = True
+        elif intervention_counts_as == "excluded":
+            count_interventions = False
+        else:
+            raise ValidationError(
+                f"intervention_counts_as must be one of {INTERVENTION_MODES}, "
+                f"got {intervention_counts_as!r}"
+            )
+        # The reference walk starts from 1.0 and multiplies the root edge in.
+        roots = (1.0 * (1.0 - p_event), 1.0 * p_event)
+        numerator = 0.0
+        covered = 0.0
+        total = 0.0
+        for branch, edges, correctness, cost in self.leaves:
+            prob = roots[branch]
+            for edge in edges:
+                prob = prob * edge
+            if correctness is None:
+                if count_interventions:
+                    numerator += prob
+                    covered += prob
+            else:
+                numerator += prob * correctness
+                covered += prob
+            if cost is not None:
+                total += prob * cost
+        if not count_interventions:
+            if covered <= 0.0:
+                raise ConfigurationError(
+                    "no accuracy-bearing leaves are reachable; cannot renormalize"
+                )
+            numerator = numerator / covered
+        return numerator, (total if self.priced else None)
+
+
+def compile_tree(tree: EventTree, priced: bool = False) -> CompiledTree:
+    """Flatten a built tree into a :class:`CompiledTree`, once per configuration.
+
+    With ``priced`` the table also yields expected risk from the costs
+    embedded at construction, and any leaf that some event rate can reach
+    (its rate-independent path weight is above zero) must carry a cost:
+    otherwise ConfigurationError is raised here, not at the first rate
+    that reaches it.
+    """
+    if len(tree.root.edges) != 2:
+        raise ValidationError("a compiled tree needs exactly two root edges")
+    leaves = []
+
+    def walk(node: Union[Node, Leaf], branch: int, edges: tuple[float, ...]) -> None:
+        if isinstance(node, Node):
+            for edge_prob, child in node.edges:
+                walk(child, branch, edges + (edge_prob,))
+            return
+        if priced and node.cost is None:
+            weight = 1.0
+            for edge in edges:
+                weight = weight * edge
+            if weight > 0.0:
+                raise ConfigurationError(
+                    f"reachable leaf {node.label!r} has no cost entry"
+                )
+        leaves.append((branch, edges, node.correctness, node.cost if priced else None))
+
+    for branch, (_, child) in enumerate(tree.root.edges):
+        walk(child, branch, ())
+    return CompiledTree(tuple(leaves), priced)
 
 
 def leaf_distribution(tree: EventTree) -> dict[str, float]:

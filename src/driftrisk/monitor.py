@@ -2,9 +2,11 @@
 
 A monitor owns one verdict trace.  Each observed verdict updates the
 trace, re-estimates the event rate (a configured prior until the trace
-has min_fill verdicts, a bias-corrected trace mean afterwards), rebuilds
+has min_fill verdicts, a bias-corrected trace mean afterwards), evaluates
 the event tree at the new rate, and emits an assessment with expected
-accuracy, optional expected risk, and a threshold alert.
+accuracy, optional expected risk, and a threshold alert.  The tree is
+built and compiled into a leaf table once, when the monitor is created;
+only its two rate-dependent root edges change from verdict to verdict.
 
 Monitors are deliberately free of randomness: their full state is the
 config plus the trace window, which is what makes snapshot/restore exact.
@@ -15,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import ConfigurationError, SnapshotError, ValidationError
+from .errors import SnapshotError, ValidationError, check_number
 from .estimation import (
     DEFAULT_J_FLOOR,
     ConditionalAccuracyTable,
@@ -26,11 +28,14 @@ from .estimation import (
     rogan_gladen,
     weighted_mean,
 )
-from .event_tree import (
-    EventTree,
+# expected_accuracy and expected_risk are not called here; they stay bound
+# in this module because perfbench/spans.py wraps the monitor's tree calls
+# by these names.
+from .event_tree import (  # noqa: F401
     INTERVENTION_MODES,
     TreeParams,
     build_tree,
+    compile_tree,
     expected_accuracy,
     expected_risk,
     validate_costs,
@@ -57,6 +62,17 @@ class MonitorConfig:
     def __post_init__(self) -> None:
         if self.topology not in ("base", "rv"):
             raise ValidationError(f"topology must be 'base' or 'rv', got {self.topology!r}")
+        check_number("trace_capacity", self.trace_capacity, integer=True)
+        if self.min_fill is not None:
+            check_number("min_fill", self.min_fill, integer=True)
+        for name in ("prior_rate", "decay", "epsilon"):
+            check_number(name, getattr(self, name))
+        if self.risk_threshold is not None:
+            check_number("risk_threshold", self.risk_threshold)
+            if self.risk_threshold < 0.0:
+                raise ValidationError(
+                    f"risk_threshold must be >= 0, got {self.risk_threshold!r}"
+                )
         if self.trace_capacity < 1:
             raise ValidationError(f"trace_capacity must be >= 1, got {self.trace_capacity!r}")
         if not 0.0 <= self.prior_rate <= 1.0:
@@ -116,11 +132,13 @@ class MonitorConfig:
             if required not in payload:
                 raise ValidationError(f"monitor config missing required key {required!r}")
         profile = payload["profile"]
+        if not isinstance(profile, dict):
+            raise ValidationError(f"profile must be an object, got {profile!r}")
         extra = set(profile) - {"tpr", "tnr"}
         if extra:
             raise ValidationError(f"unknown profile keys: {sorted(extra)}")
         kwargs = dict(payload)
-        kwargs["profile"] = DetectorProfile(tpr=profile["tpr"], tnr=profile["tnr"])
+        kwargs["profile"] = DetectorProfile(tpr=profile.get("tpr"), tnr=profile.get("tnr"))
         kwargs["accuracies"] = ConditionalAccuracyTable.from_dict(payload["accuracies"])
         return cls(**kwargs)
 
@@ -136,13 +154,6 @@ class Assessment:
     using_prior: bool
 
 
-def check_threshold(assessment: Assessment, threshold: float) -> bool:
-    """Alert test: strictly above the maximum tolerable risk."""
-    if assessment.expected_risk is None:
-        raise ConfigurationError("assessment carries no expected risk to compare")
-    return assessment.expected_risk > threshold
-
-
 class Monitor:
     """Stateful runtime monitor over a single verdict stream."""
 
@@ -151,21 +162,18 @@ class Monitor:
         # Fail fast rather than on the first post-warmup observation.
         require_informative(config.profile, config.epsilon)
         self.trace = VerdictTrace(config.trace_capacity, _window or ())
-        self._tree_accuracies = config.accuracies.tree_accuracies()
-        self._data_free = config.accuracies.data_free_conditions()
-        # Build once at the prior rate so mis-configured accuracies surface
-        # at construction time.
-        self._build_tree(config.prior_rate)
-
-    def _build_tree(self, p_event: float) -> EventTree:
+        # Build once at the prior rate, so mis-configured accuracies and
+        # unpriced reachable leaves surface at construction time, and
+        # compile: every later rate reuses the same leaf table.
         params = TreeParams(
-            p_event=p_event,
-            accuracies=self._tree_accuracies,
-            tpr=self.config.profile.tpr,
-            tnr=self.config.profile.tnr,
-            data_free=self._data_free,
+            p_event=config.prior_rate,
+            accuracies=config.accuracies.tree_accuracies(),
+            tpr=config.profile.tpr,
+            tnr=config.profile.tnr,
+            data_free=config.accuracies.data_free_conditions(),
         )
-        return build_tree(self.config.topology, params, self.config.costs)
+        tree = build_tree(config.topology, params, config.costs)
+        self._evaluate = compile_tree(tree, priced=config.costs is not None).evaluate
 
     def observe(self, verdict: bool) -> Assessment:
         """Ingest one verdict and produce the updated assessment."""
@@ -185,9 +193,9 @@ class Monitor:
             estimate = rogan_gladen(
                 raw, config.profile, config.epsilon, self.trace.fill_fraction
             )
-        tree = self._build_tree(estimate.corrected)
-        accuracy = expected_accuracy(tree, config.intervention_counts_as)
-        risk = expected_risk(tree) if config.costs is not None else None
+        accuracy, risk = self._evaluate(
+            estimate.corrected, config.intervention_counts_as
+        )
         alert = (
             config.risk_threshold is not None
             and risk is not None

@@ -21,7 +21,7 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover
     from .monitor import Assessment
 
-from .errors import ConfigurationError, ValidationError
+from .errors import ConfigurationError, ValidationError, check_number
 from .event_tree import (
     CORRECT_DETECTION,
     CostModel,
@@ -45,6 +45,13 @@ class StreamConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("batch_size", "horizon", "seed"):
+            check_number(name, getattr(self, name), integer=True)
+        check_number("shift_rate", self.shift_rate)
+        if self.mixture_fraction is not None:
+            check_number("mixture_fraction", self.mixture_fraction)
+        if not isinstance(self.uniform, bool):
+            raise ValidationError(f"uniform must be true or false, got {self.uniform!r}")
         if self.batch_size < 1:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size!r}")
         if not 0.0 <= self.shift_rate <= 1.0:
@@ -66,9 +73,9 @@ class OodFold:
     weight: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.accuracy <= 1.0:
+        if not 0.0 <= check_number("fold accuracy", self.accuracy) <= 1.0:
             raise ValidationError(f"fold accuracy must be in [0, 1], got {self.accuracy!r}")
-        if self.weight < 0.0:
+        if check_number("fold weight", self.weight) < 0.0:
             raise ValidationError(f"fold weight must be >= 0, got {self.weight!r}")
 
 
@@ -80,7 +87,7 @@ class AccuracyOracle:
     folds: tuple[OodFold, ...]
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.ind_accuracy <= 1.0:
+        if not 0.0 <= check_number("ind_accuracy", self.ind_accuracy) <= 1.0:
             raise ValidationError(
                 f"ind_accuracy must be in [0, 1], got {self.ind_accuracy!r}"
             )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -15,7 +16,7 @@ from driftrisk.cli import (
     main,
 )
 
-from conftest import case_study_config_dict
+from conftest import CASE_STUDY_COSTS, case_study_config_dict
 
 
 @pytest.fixture
@@ -145,6 +146,83 @@ class TestMonitorCommand:
         captured = capsys.readouterr()
         assert code == EXIT_OK
         assert len(captured.out.strip().splitlines()) == 4
+
+
+    def test_missing_cost_entry_fails_before_any_row(self, tmp_path, capsys):
+        payload = case_study_config_dict()
+        del payload["monitor"]["costs"]["failed_detection"]
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(payload))
+        verdicts = write_verdicts(tmp_path, [0, 1, 0])
+        out = tmp_path / "assessments.csv"
+        code = main(["monitor", "--config", str(config), "--input", verdicts])
+        captured = capsys.readouterr()
+        assert code == EXIT_DATA
+        assert "reachable leaf" in captured.err and "has no cost entry" in captured.err
+        assert captured.out == ""
+        code = main(
+            ["monitor", "--config", str(config), "--input", verdicts, "--output", str(out)]
+        )
+        assert code == EXIT_DATA
+        assert not out.exists()
+
+
+# Config values of the wrong type or outside their domain: each must stop
+# at config load with exit 1 and a message, never a Python traceback.
+BAD_FIELD_VALUES = [
+    ("stream", "shift_rate", "0.3", "shift_rate must be a number"),
+    ("stream", "batch_size", 1.5, "batch_size must be an integer"),
+    ("stream", "horizon", True, "horizon must be an integer"),
+    ("monitor", "risk_threshold", "high", "risk_threshold must be a number"),
+    ("monitor", "decay", "0.9", "decay must be a number"),
+    ("monitor", "prior_rate", "0.3", "prior_rate must be a number"),
+    ("monitor", "trace_capacity", 2.5, "trace_capacity must be an integer"),
+    ("monitor", "risk_threshold", -1, "risk_threshold must be >= 0"),
+    (
+        "monitor",
+        "costs",
+        {**CASE_STUDY_COSTS, "failed_detection": math.nan},
+        "cost for outcome 'failed_detection' must be finite",
+    ),
+    (
+        "monitor",
+        "costs",
+        {**CASE_STUDY_COSTS, "failed_detection": True},
+        "cost for outcome 'failed_detection' must be a number",
+    ),
+    ("sweep", "operating_rate", "0.9", "operating_rate must be a number"),
+    ("sweep", "horizon", 2.5, "horizon must be an integer"),
+]
+
+
+class TestTypedConfigValidation:
+    @pytest.mark.parametrize(
+        "section,key,value,message",
+        BAD_FIELD_VALUES,
+        ids=[f"{section}: {message}" for section, _, _, message in BAD_FIELD_VALUES],
+    )
+    def test_rejected_at_load_with_usage_exit(
+        self, tmp_path, capsys, section, key, value, message
+    ):
+        payload = case_study_config_dict()
+        payload[section][key] = value
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(payload))
+        out = tmp_path / "out.csv"
+        if section == "stream":
+            argv = ["simulate", "--config", str(config), "--output", str(out)]
+        elif section == "sweep":
+            argv = ["sweep", "cba", "--config", str(config), "--output", str(out)]
+        else:
+            verdicts = write_verdicts(tmp_path, [1] * 30)
+            argv = ["monitor", "--config", str(config), "--input", verdicts,
+                    "--output", str(out)]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert "Traceback" not in err
+        assert err.startswith(f"driftrisk: config error: {message}")
+        assert not out.exists()
 
 
 class TestSweepCommand:

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from driftrisk.errors import ConfigurationError, SnapshotError, UninformativeDetectorError
 from driftrisk.estimation import DetectorProfile
-from driftrisk.event_tree import TreeParams, build_tree, expected_accuracy
+from driftrisk.event_tree import TreeParams, build_tree, expected_accuracy, expected_risk
 from driftrisk.detectors import SyntheticDetector
-from driftrisk.monitor import Monitor, MonitorConfig, check_threshold
+from driftrisk.monitor import Monitor, MonitorConfig
 
 from conftest import CASE_STUDY_COSTS, CASE_STUDY_THRESHOLD, make_full_table
 
@@ -124,28 +126,40 @@ class TestObserve:
             Monitor(config(profile=DetectorProfile(0.5, 0.5)))
 
 
+def reference_values(p_event, costs=CASE_STUDY_COSTS, mode="correct", tpr=0.9, tnr=0.9):
+    """Accuracy and risk of a freshly built rv tree at ``p_event``."""
+    params = TreeParams(
+        p_event=p_event,
+        accuracies=make_full_table(0.9, 0.33).tree_accuracies(),
+        tpr=tpr,
+        tnr=tnr,
+    )
+    tree = build_tree("rv", params, costs)
+    return expected_accuracy(tree, mode), expected_risk(tree)
+
+
 class TestAlerts:
-    def test_check_threshold_examples(self):
-        monitor = Monitor(
-            config(topology="rv", capacity=2, min_fill=1, costs=CASE_STUDY_COSTS)
-        )
-        assessment = monitor.observe(False)
-        frozen = assessment
+    def test_threshold_boundary_is_strict(self):
+        # During warm-up the rate is the prior, so the risk is known exactly.
+        _, risk = reference_values(0.5)
+        at_boundary = Monitor(
+            config(topology="rv", capacity=4, costs=CASE_STUDY_COSTS, risk_threshold=risk)
+        ).observe(False)
+        assert at_boundary.expected_risk == risk
+        assert at_boundary.alert is False
+        below = math.nextafter(risk, -math.inf)
+        just_below = Monitor(
+            config(topology="rv", capacity=4, costs=CASE_STUDY_COSTS, risk_threshold=below)
+        ).observe(False)
+        assert just_below.expected_risk == risk
+        assert just_below.alert is True
 
-        import dataclasses
-
-        low = dataclasses.replace(frozen, expected_risk=635.0)
-        boundary = dataclasses.replace(frozen, expected_risk=1925.0)
-        high = dataclasses.replace(frozen, expected_risk=6735.0)
-        assert check_threshold(low, CASE_STUDY_THRESHOLD) is False
-        assert check_threshold(boundary, CASE_STUDY_THRESHOLD) is False  # strict
-        assert check_threshold(high, CASE_STUDY_THRESHOLD) is True
-
-    def test_missing_risk_rejected(self):
-        monitor = Monitor(config(capacity=2, min_fill=1))
-        assessment = monitor.observe(False)
-        with pytest.raises(ConfigurationError):
-            check_threshold(assessment, 100.0)
+    def test_no_costs_means_no_risk_and_no_alert(self):
+        monitor = Monitor(config(capacity=2, min_fill=1, risk_threshold=100.0))
+        for verdict in (False, True, True):
+            assessment = monitor.observe(verdict)
+            assert assessment.expected_risk is None
+            assert assessment.alert is False
 
     def test_alert_is_pure_function_of_risk(self):
         monitor = Monitor(
@@ -169,6 +183,55 @@ class TestAlerts:
         monitor = Monitor(config(topology="rv", capacity=4, min_fill=1, costs=CASE_STUDY_COSTS))
         for verdict in [True] * 20:
             assert monitor.observe(verdict).alert is False
+
+
+class TestCompiledTree:
+    def test_missing_cost_fails_at_construction(self):
+        costs = {k: v for k, v in CASE_STUDY_COSTS.items() if k != "failed_detection"}
+        with pytest.raises(ConfigurationError, match="has no cost entry"):
+            Monitor(config(topology="rv", costs=costs))
+
+    def test_unreachable_unpriced_leaf_is_accepted(self):
+        # TNR = 1 gives the unnecessary-intervention leaf path weight zero.
+        costs = {
+            k: v for k, v in CASE_STUDY_COSTS.items() if k != "unnecessary_intervention"
+        }
+        monitor = Monitor(
+            config(profile=DetectorProfile(0.9, 1.0), topology="rv", capacity=5, costs=costs)
+        )
+        rng = np.random.default_rng(23)
+        for verdict in (rng.random(40) < 0.3).tolist():
+            assessment = monitor.observe(verdict)
+            assert (assessment.expected_accuracy, assessment.expected_risk) == (
+                reference_values(assessment.p_event.corrected, costs, tnr=1.0)
+            )
+
+    def test_excluded_mode_through_config_dict(self):
+        # intervention_counts_as arrives as a config key and reaches the
+        # evaluator: values equal a fresh "excluded" traversal bit for bit.
+        payload = config(topology="rv", capacity=6, costs=CASE_STUDY_COSTS).to_dict()
+        payload["intervention_counts_as"] = "excluded"
+        monitor = Monitor(MonitorConfig.from_dict(payload))
+        counted = Monitor(config(topology="rv", capacity=6, costs=CASE_STUDY_COSTS))
+        rng = np.random.default_rng(29)
+        differs = False
+        for verdict in (rng.random(60) < 0.5).tolist():
+            assessment = monitor.observe(verdict)
+            reference = reference_values(assessment.p_event.corrected, mode="excluded")
+            assert (assessment.expected_accuracy, assessment.expected_risk) == reference
+            other = counted.observe(verdict)
+            assert other.expected_risk == assessment.expected_risk
+            differs = differs or other.expected_accuracy != assessment.expected_accuracy
+        assert differs
+
+    def test_excluded_mode_survives_snapshot(self):
+        payload = config(topology="rv", capacity=6).to_dict()
+        payload["intervention_counts_as"] = "excluded"
+        monitor = Monitor(MonitorConfig.from_dict(payload))
+        monitor.observe(True)
+        restored = Monitor.restore(monitor.snapshot())
+        assert restored.config.intervention_counts_as == "excluded"
+        assert restored.observe(False) == monitor.observe(False)
 
 
 class TestSnapshot:
