@@ -46,15 +46,14 @@ from .event_tree import (
     sensitivity,
     tree_outline,
 )
-from .detectors import SyntheticDetector, ThresholdDetector, detector_grid
+from .detectors import SyntheticDetector, detector_grid
 from .monitor import Assessment, Monitor, MonitorConfig
 from .simulation import (
     AccuracyOracle,
-    Batch,
     DeploymentTrace,
     OodFold,
+    Stream,
     StreamConfig,
-    batch_correct,
     batch_correct_probability,
     generate_stream,
     ind_percentile_threshold,
@@ -64,7 +63,6 @@ from .experiments import (
     ErrorReport,
     SweepGrid,
     accuracy_error_sweep,
-    baseline_estimate,
     cba_surface,
     crossing_rate,
     mae,

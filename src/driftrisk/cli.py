@@ -8,14 +8,13 @@ Exit codes are a stable contract:
   3  monitor completed and at least one alert was raised
   4  detector uninformative
 
-Environment variables may override parallelism (DRIFTRISK_JOBS) but never
-experiment parameters; seeds change only via --seed.
+No environment variable changes what a command does; seeds change only
+via --seed.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -311,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--jobs",
         type=int,
-        default=int(os.environ.get("DRIFTRISK_JOBS", "1")),
+        default=1,
         help="parallel workers across sweep cells",
     )
     p_sweep.set_defaults(func=cmd_sweep)

@@ -1,25 +1,18 @@
-"""Verdict sources: synthetic TPR/TNR detectors, profile grids, thresholds.
+"""Verdict sources: synthetic TPR/TNR detectors and profile grids.
 
 The synthetic detector draws one uniform per judgment and is correct with
 probability TPR on events and TNR on non-events, which makes sensitivity
-sweeps over detector quality possible without any real detector.  The
-threshold detector turns recorded scalar scores into verdicts.
+sweeps over detector quality possible without any real detector.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
 from .errors import ValidationError
 from .estimation import DetectorProfile
-
-GREATER_IS_OOD = "greater_is_ood"
-LESS_IS_OOD = "less_is_ood"
-
 
 class SyntheticDetector:
     """Seeded Bernoulli-correct verdict source with a fixed TPR/TNR profile."""
@@ -61,34 +54,6 @@ class SyntheticDetector:
                 raise ValidationError("cannot judge an empty batch")
             fraction = float(flags.mean())
         return self.judge(fraction >= 0.5)
-
-
-@dataclass(frozen=True)
-class ThresholdDetector:
-    """Deterministic verdict from a scalar score and a fixed threshold.
-
-    Comparison is strict; a score equal to the threshold is a negative
-    verdict, a fixed convention for bit-exact reproducibility.
-    """
-
-    threshold: float
-    direction: str = GREATER_IS_OOD
-
-    def __post_init__(self) -> None:
-        if self.direction not in (GREATER_IS_OOD, LESS_IS_OOD):
-            raise ValidationError(
-                f"direction must be {GREATER_IS_OOD!r} or {LESS_IS_OOD!r}, "
-                f"got {self.direction!r}"
-            )
-        if not math.isfinite(self.threshold):
-            raise ValidationError(f"threshold must be finite, got {self.threshold!r}")
-
-    def judge(self, score: float) -> bool:
-        if not math.isfinite(score):
-            raise ValidationError(f"score must be finite, got {score!r}")
-        if self.direction == GREATER_IS_OOD:
-            return score > self.threshold
-        return score < self.threshold
 
 
 def detector_grid(step: float = 0.1, ba_floor: float = 0.5) -> list[DetectorProfile]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -62,15 +62,6 @@ def mae(truth: Sequence[float], estimate: Sequence[float]) -> float:
     if t.size == 0:
         raise ValidationError("cannot compute MAE of empty sequences")
     return float(np.mean(np.abs(t - e)))
-
-
-def baseline_estimate(ind_val_accuracy: float) -> Callable[..., float]:
-    """The conventional-evaluation baseline: a constant accuracy estimate."""
-
-    def estimate(*_args, **_kwargs) -> float:
-        return ind_val_accuracy
-
-    return estimate
 
 
 def _cell_rng(master_seed: int, *coords: int) -> np.random.Generator:
@@ -302,7 +293,6 @@ def accuracy_error_cell(
         trace_capacity=window,
         prior_rate=grid.prior_rate,
     )
-    baseline = baseline_estimate(ind_eff)
     method_errors = []
     baseline_errors = []
     for k in range(grid.seeds_per_cell):
@@ -323,7 +313,7 @@ def accuracy_error_cell(
         start = trace.warmup_end()
         realized = trace.realized_accuracy(start)
         method_errors.append(trace.mean_expected_accuracy(start) - realized)
-        baseline_errors.append(baseline() - realized)
+        baseline_errors.append(ind_eff - realized)
     errors = np.array(method_errors)
     return CellResult(
         axes,

@@ -84,36 +84,6 @@ def iter_verdicts(lines: Iterable[str]) -> Iterator[bool]:
             raise ValidationError(f"line {line_no}: expected verdict 0 or 1, got {token!r}")
 
 
-def read_scores(path: str | Path) -> list[tuple[float, bool | None]]:
-    """Read recorded detector scores, one per line, optional is_ood column.
-
-    Lines are either ``score`` or ``score,is_ood``; whitespace separation
-    is accepted too.
-    """
-    records = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            token = line.strip()
-            if not token:
-                continue
-            parts = token.replace(",", " ").split()
-            try:
-                score = float(parts[0])
-            except ValueError:
-                raise ValidationError(
-                    f"line {line_no}: expected a numeric score, got {parts[0]!r}"
-                ) from None
-            flag = None
-            if len(parts) > 1:
-                flag = _parse_bool(parts[1], f"line {line_no}, column is_ood")
-            if len(parts) > 2:
-                raise ValidationError(f"line {line_no}: too many columns")
-            records.append((score, flag))
-    if not records:
-        raise ValidationError("score file contains no rows")
-    return records
-
-
 def write_rows_csv(path: str | Path, rows: Sequence[dict], columns: Sequence[str]) -> None:
     """Write dict rows as CSV with a fixed column order."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
@@ -143,16 +113,27 @@ TRACE_COLUMNS = (
 
 
 def trace_rows(trace: DeploymentTrace) -> list[dict]:
+    """One row per batch.
+
+    tolist() turns array entries into Python scalars: fmt() prints a bool
+    as 0/1 but an np.bool_ as True/False, and json rejects np.bool_.
+    """
+    columns = zip(
+        trace.is_ood.tolist(),
+        trace.verdict.tolist(),
+        trace.batch_accuracy.tolist(),
+        trace.batch_correct.tolist(),
+        trace.assessments,
+    )
     rows = []
-    for record in trace.records:
-        assessment = record.assessment
+    for index, (is_ood, verdict, accuracy, correct, assessment) in enumerate(columns):
         rows.append(
             {
-                "index": record.index,
-                "is_ood": record.is_ood,
-                "verdict": record.verdict,
-                "batch_accuracy": record.batch_accuracy,
-                "batch_correct": record.batch_correct,
+                "index": index,
+                "is_ood": is_ood,
+                "verdict": verdict,
+                "batch_accuracy": accuracy,
+                "batch_correct": correct,
                 "p_hat": assessment.p_event.corrected,
                 "expected_accuracy": assessment.expected_accuracy,
                 "expected_risk": assessment.expected_risk,

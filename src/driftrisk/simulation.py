@@ -1,19 +1,19 @@
 """Synthetic deployment streams and the batch-correctness rule.
 
-Streams are sequences of batches.  Shift events are Bernoulli per batch;
-a shifted batch is filled with event (OOD) samples drawn from one of the
-oracle's folds, entirely in uniform mode or per-sample at a mixture
-fraction otherwise.  Per-sample correctness is a Bernoulli draw at the
-fold's accuracy, standing in for whatever task metric defines "correct"
-for a single input.  A batch is correct when its realized mean accuracy
-reaches a threshold, conventionally the 1st percentile of batch accuracy
-observed on clean validation data.
+Streams and monitored traces are arrays with one entry per batch.  Shift
+events are Bernoulli per batch; a shifted batch is filled with event (OOD)
+samples drawn from one of the oracle's folds, entirely in uniform mode or
+per-sample at a mixture fraction otherwise.  Per-sample correctness is a
+Bernoulli draw at the fold's accuracy, standing in for whatever task
+metric defines "correct" for a single input.  A batch is correct when its
+realized mean accuracy reaches a threshold, conventionally the 1st
+percentile of batch accuracy observed on clean validation data.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -29,9 +29,6 @@ from .event_tree import (
     NECESSARY_INTERVENTION,
     UNNECESSARY_INTERVENTION,
 )
-
-STANDARD_BATCH_SIZES = (1, 8, 16, 32, 64)
-
 
 @dataclass(frozen=True)
 class StreamConfig:
@@ -118,19 +115,26 @@ class AccuracyOracle:
 
 
 @dataclass(frozen=True)
-class Batch:
-    """One generated batch with its realized correctness draws."""
+class Stream:
+    """A generated deployment stream, one array entry per batch."""
 
-    index: int
-    event: bool                 # the Bernoulli shift draw for this batch
-    ood_fraction: float         # realized fraction of event samples
-    is_ood: bool                # majority-rule ground truth seen by detectors
-    fold: str | None
-    correct: np.ndarray
-    accuracy: float
+    event: np.ndarray         # bool: the Bernoulli shift draw per batch
+    fold: np.ndarray          # int: index into oracle.folds, meaningful where event
+    ood_fraction: np.ndarray  # float: realized fraction of event samples
+    correct: np.ndarray       # bool, (horizon, batch_size): per-sample correctness
+
+    @property
+    def is_ood(self) -> np.ndarray:
+        """Majority-rule ground truth seen by detectors."""
+        return self.ood_fraction >= 0.5
+
+    @property
+    def accuracy(self) -> np.ndarray:
+        """Realized mean accuracy of each batch."""
+        return self.correct.mean(axis=1)
 
 
-def generate_stream(config: StreamConfig, oracle: AccuracyOracle) -> list[Batch]:
+def generate_stream(config: StreamConfig, oracle: AccuracyOracle) -> Stream:
     """Generate the full batch sequence for a deployment run.
 
     Deterministic under config.seed: draw order is fixed (events, folds,
@@ -157,22 +161,9 @@ def generate_stream(config: StreamConfig, oracle: AccuracyOracle) -> list[Batch]
     fold_accs = np.array([fold.accuracy for fold in oracle.folds])
     per_sample_acc = np.where(flags, fold_accs[fold_idx][:, None], oracle.ind_accuracy)
     correct = rng.random((horizon, size)) < per_sample_acc
-
-    batches = []
-    for i in range(horizon):
-        fraction = float(flags[i].mean())
-        batches.append(
-            Batch(
-                index=i,
-                event=bool(events[i]),
-                ood_fraction=fraction,
-                is_ood=fraction >= 0.5,
-                fold=oracle.folds[fold_idx[i]].name if events[i] else None,
-                correct=correct[i],
-                accuracy=float(correct[i].mean()),
-            )
-        )
-    return batches
+    return Stream(
+        event=events, fold=fold_idx, ood_fraction=flags.mean(axis=1), correct=correct
+    )
 
 
 def ind_percentile_threshold(ind_batch_accuracies: Sequence[float], percentile: float) -> float:
@@ -187,11 +178,6 @@ def ind_percentile_threshold(ind_batch_accuracies: Sequence[float], percentile: 
     if not 0.0 <= percentile <= 100.0:
         raise ValidationError(f"percentile must be in [0, 100], got {percentile!r}")
     return float(np.percentile(values, percentile))
-
-
-def batch_correct(batch: Batch, threshold: float) -> bool:
-    """A batch is correct when its realized accuracy reaches the threshold."""
-    return batch.accuracy >= threshold
 
 
 def batch_correct_probability(sample_accuracy: float, batch_size: int, threshold: float) -> float:
@@ -219,62 +205,57 @@ def batch_correct_probability(sample_accuracy: float, batch_size: int, threshold
     )
 
 
+def _window(values, start: int):
+    window = values[start:]
+    if len(window) == 0:
+        raise ValidationError("empty suffix window")
+    return window
+
+
 @dataclass(frozen=True)
-class DeploymentRecord:
-    """One monitored batch: ground truth, verdict, correctness, assessment."""
-
-    index: int
-    is_ood: bool
-    verdict: bool
-    batch_accuracy: float
-    batch_correct: bool
-    assessment: "Assessment"
-
-
-@dataclass
 class DeploymentTrace:
-    """Per-batch records of a monitored deployment run."""
+    """A monitored deployment run, one array entry per batch.
 
-    records: list[DeploymentRecord] = field(default_factory=list)
+    The summaries add Python floats with built-in sum() in batch order, so
+    they round exactly as a per-batch loop does.
+    """
+
+    is_ood: np.ndarray          # bool: majority-rule ground truth
+    verdict: np.ndarray         # bool: the detector's verdict
+    batch_accuracy: np.ndarray  # float: realized mean accuracy
+    batch_correct: np.ndarray   # bool: batch_accuracy reaches the threshold
+    assessments: list["Assessment"]
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.assessments)
 
     def warmup_end(self) -> int:
-        """Index of the first record estimated from the trace, not the prior."""
-        for i, record in enumerate(self.records):
-            if not record.assessment.using_prior:
+        """Index of the first batch estimated from the trace, not the prior."""
+        for i, assessment in enumerate(self.assessments):
+            if not assessment.using_prior:
                 return i
-        return len(self.records)
+        return len(self.assessments)
 
     def realized_accuracy(self, start: int = 0) -> float:
         """Fraction of correct batches over a suffix window."""
-        window = self.records[start:]
-        if not window:
-            raise ValidationError("empty suffix window")
-        return sum(r.batch_correct for r in window) / len(window)
+        window = _window(self.batch_correct, start)
+        return np.count_nonzero(window) / len(window)
 
     def realized_event_rate(self, start: int = 0) -> float:
-        window = self.records[start:]
-        if not window:
-            raise ValidationError("empty suffix window")
-        return sum(r.is_ood for r in window) / len(window)
+        window = _window(self.is_ood, start)
+        return np.count_nonzero(window) / len(window)
 
     def mean_expected_accuracy(self, start: int = 0) -> float:
-        window = self.records[start:]
-        if not window:
-            raise ValidationError("empty suffix window")
-        return sum(r.assessment.expected_accuracy for r in window) / len(window)
+        window = _window(self.assessments, start)
+        return sum(a.expected_accuracy for a in window) / len(window)
 
     def mean_expected_risk(self, start: int = 0) -> float:
-        window = self.records[start:]
-        if not window:
-            raise ValidationError("empty suffix window")
+        window = _window(self.assessments, start)
         total = 0.0
-        for record in window:
-            if record.assessment.expected_risk is None:
-                raise ConfigurationError("trace records carry no risk estimates")
-            total += record.assessment.expected_risk
+        for assessment in window:
+            if assessment.expected_risk is None:
+                raise ConfigurationError("trace carries no risk estimates")
+            total += assessment.expected_risk
         return total / len(window)
 
     def realized_mean_cost(
@@ -287,15 +268,17 @@ class DeploymentTrace:
         model's own correctness decides between correct and failed
         detection.
         """
-        window = self.records[start:]
-        if not window:
-            raise ValidationError("empty suffix window")
+        window = _window(self.verdict, start)
         total = 0.0
-        for record in window:
-            if with_interventions and record.verdict:
-                outcome = NECESSARY_INTERVENTION if record.is_ood else UNNECESSARY_INTERVENTION
+        for verdict, is_ood, correct in zip(
+            window.tolist(),
+            self.is_ood[start:].tolist(),
+            self.batch_correct[start:].tolist(),
+        ):
+            if with_interventions and verdict:
+                outcome = NECESSARY_INTERVENTION if is_ood else UNNECESSARY_INTERVENTION
             else:
-                outcome = CORRECT_DETECTION if record.batch_correct else FAILED_DETECTION
+                outcome = CORRECT_DETECTION if correct else FAILED_DETECTION
             try:
                 total += costs[outcome]
             except KeyError:
@@ -303,20 +286,21 @@ class DeploymentTrace:
         return total / len(window)
 
 
-def run_deployment(stream, detector, monitor, correct_threshold: float = 0.5) -> DeploymentTrace:
-    """Drive a monitor over a generated stream, one verdict per batch."""
-    trace = DeploymentTrace()
-    for batch in stream:
-        verdict = detector.judge_batch(batch.ood_fraction)
-        assessment = monitor.observe(verdict)
-        trace.records.append(
-            DeploymentRecord(
-                index=batch.index,
-                is_ood=batch.is_ood,
-                verdict=verdict,
-                batch_accuracy=batch.accuracy,
-                batch_correct=batch_correct(batch, correct_threshold),
-                assessment=assessment,
-            )
-        )
-    return trace
+def run_deployment(
+    stream: Stream, detector, monitor, correct_threshold: float = 0.5
+) -> DeploymentTrace:
+    """Drive a monitor over a generated stream, one verdict per batch.
+
+    All verdicts come from one judge_many draw, which equals a judge_batch
+    call per batch on the same generator.
+    """
+    is_ood = stream.is_ood
+    verdicts = detector.judge_many(is_ood)
+    accuracy = stream.accuracy
+    return DeploymentTrace(
+        is_ood=is_ood,
+        verdict=verdicts,
+        batch_accuracy=accuracy,
+        batch_correct=accuracy >= correct_threshold,
+        assessments=[monitor.observe(verdict) for verdict in verdicts.tolist()],
+    )

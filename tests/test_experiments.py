@@ -13,7 +13,6 @@ from driftrisk.experiments import (
     ErrorReport,
     SweepGrid,
     accuracy_error_sweep,
-    baseline_estimate,
     batched_accuracy_table,
     cba_surface,
     crossing_rate,
@@ -51,16 +50,12 @@ class TestMae:
 
 
 class TestBaseline:
-    def test_constant(self):
-        estimator = baseline_estimate(0.87)
-        assert estimator() == 0.87
-        assert estimator("anything", rate=0.5) == 0.87
-
     def test_expected_error_is_rate_times_gap(self):
+        # The baseline estimates acc_ind at every rate, so its error is
         # |acc_ind - ((1-r) acc_ind + r acc_ood)| = r (acc_ind - acc_ood).
         acc_ind, acc_ood, rate = 0.90, 0.33, 0.5
         truth = (1 - rate) * acc_ind + rate * acc_ood
-        assert abs(baseline_estimate(acc_ind)() - truth) == pytest.approx(0.285, abs=1e-12)
+        assert abs(acc_ind - truth) == pytest.approx(0.285, abs=1e-12)
 
 
 class TestDeriveSeed:

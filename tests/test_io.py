@@ -1,18 +1,28 @@
-"""File ingestion and emission: labeled data, verdicts, scores, formatting."""
+"""File ingestion and emission: labeled data, verdicts, traces, formatting."""
 
 from __future__ import annotations
 
+import csv
+import json
+
 import pytest
 
+from driftrisk.detectors import SyntheticDetector
 from driftrisk.errors import CalibrationError, ValidationError
-from driftrisk.estimation import calibrate_profile
+from driftrisk.estimation import DetectorProfile
 from driftrisk.io import (
+    emit_assessment,
     fmt,
     iter_verdicts,
     read_labeled_records,
-    read_scores,
+    trace_rows,
     write_rows_csv,
+    write_trace_csv,
 )
+from driftrisk.monitor import Monitor, MonitorConfig
+from driftrisk.simulation import AccuracyOracle, StreamConfig, generate_stream, run_deployment
+
+from conftest import make_full_table
 
 
 class TestFmt:
@@ -63,48 +73,48 @@ class TestLabeledRecords:
             read_labeled_records(path)
 
 
-class TestReadScores:
-    def test_score_only_lines(self, tmp_path):
-        path = tmp_path / "scores.txt"
-        path.write_text("1.5\n-0.25\n3e-2\n")
-        assert read_scores(path) == [(1.5, None), (-0.25, None), (0.03, None)]
-
-    def test_scores_with_ground_truth(self, tmp_path):
-        path = tmp_path / "scores.txt"
-        path.write_text("1.5,1\n0.2,0\n0.9 1\n")
-        assert read_scores(path) == [(1.5, True), (0.2, False), (0.9, True)]
-
-    def test_score_calibration_pipeline(self, tmp_path):
-        # Recorded scores through a threshold detector recover the implied
-        # profile exactly on this small, fully determined file.
-        from driftrisk.detectors import GREATER_IS_OOD, ThresholdDetector
-
-        path = tmp_path / "scores.txt"
-        rows = [(2.0, 1), (3.0, 1), (0.5, 1), (0.1, 0), (0.2, 0), (1.5, 0)]
-        path.write_text("".join(f"{s},{f}\n" for s, f in rows))
-        records = read_scores(path)
-        detector = ThresholdDetector(1.0, GREATER_IS_OOD)
-        profile = calibrate_profile(
-            (detector.judge(score), bool(flag)) for score, flag in records
-        )
-        assert profile.tpr == pytest.approx(2.0 / 3.0, abs=1e-12)
-        assert profile.tnr == pytest.approx(2.0 / 3.0, abs=1e-12)
-
-    def test_malformed_score_line(self, tmp_path):
-        path = tmp_path / "scores.txt"
-        path.write_text("1.5\nok\n")
-        with pytest.raises(ValidationError, match="line 2"):
-            read_scores(path)
-
-    def test_too_many_columns(self, tmp_path):
-        path = tmp_path / "scores.txt"
-        path.write_text("1.5,1,2\n")
-        with pytest.raises(ValidationError, match="line 1"):
-            read_scores(path)
-
-
 class TestWriteRows:
     def test_missing_fields_left_empty(self, tmp_path):
         path = tmp_path / "rows.csv"
         write_rows_csv(path, [{"a": 1.0}, {"a": 2.0, "b": True}], ("a", "b"))
         assert path.read_text() == "a,b\n1,\n2,1\n"
+
+
+class TestTraceExport:
+    @pytest.fixture
+    def trace(self):
+        profile = DetectorProfile(0.8, 0.7)
+        stream = generate_stream(
+            StreamConfig(batch_size=4, shift_rate=0.5, horizon=60, uniform=False, seed=3),
+            AccuracyOracle.single(0.9, 0.33),
+        )
+        monitor = Monitor(
+            MonitorConfig(
+                topology="base",
+                profile=profile,
+                accuracies=make_full_table(0.9, 0.33),
+                trace_capacity=10,
+                prior_rate=0.5,
+            )
+        )
+        return run_deployment(stream, SyntheticDetector(profile, seed=4), monitor, 0.5)
+
+    def test_csv_flags_read_zero_one(self, tmp_path, trace):
+        path = tmp_path / "trace.csv"
+        write_trace_csv(path, trace)
+        with open(path, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [row["index"] for row in rows] == [str(i) for i in range(len(trace))]
+        for column in ("is_ood", "verdict", "batch_correct"):
+            values = [row[column] for row in rows]
+            assert set(values) == {"0", "1"}
+            assert values == [str(int(v)) for v in getattr(trace, column).tolist()]
+
+    def test_structured_rows_are_json_bools(self, tmp_path, trace):
+        path = tmp_path / "trace.jsonl"
+        with open(path, "w") as handle:
+            for row in trace_rows(trace):
+                emit_assessment(handle, row, "structured")
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [r["verdict"] for r in records] == trace.verdict.tolist()
+        assert all(type(r["is_ood"]) is bool for r in records)

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from driftrisk.detectors import SyntheticDetector
 from driftrisk.errors import ValidationError
@@ -16,7 +17,6 @@ from driftrisk.simulation import (
     AccuracyOracle,
     OodFold,
     StreamConfig,
-    batch_correct,
     batch_correct_probability,
     generate_stream,
     ind_percentile_threshold,
@@ -47,14 +47,14 @@ class TestGenerateStream:
         stream = generate_stream(
             StreamConfig(batch_size=4, shift_rate=0.0, horizon=200, seed=1), simple_oracle()
         )
-        assert not any(b.is_ood for b in stream)
-        assert not any(b.event for b in stream)
+        assert not stream.is_ood.any()
+        assert not stream.event.any()
 
     def test_certain_rate_is_all_events(self):
         stream = generate_stream(
             StreamConfig(batch_size=4, shift_rate=1.0, horizon=200, seed=1), simple_oracle()
         )
-        assert all(b.is_ood for b in stream)
+        assert stream.is_ood.all()
 
     def test_event_fraction_confidence_interval(self):
         # Binomial 99% CI at n = 10^4, p = 0.3 is about +/- 0.012.
@@ -62,15 +62,14 @@ class TestGenerateStream:
             StreamConfig(batch_size=1, shift_rate=0.3, horizon=10_000, seed=2),
             simple_oracle(),
         )
-        fraction = sum(b.is_ood for b in stream) / len(stream)
+        fraction = stream.is_ood.mean()
         assert fraction == pytest.approx(0.3, abs=0.012)
 
     def test_uniform_batches_never_mix(self):
         stream = generate_stream(
             StreamConfig(batch_size=16, shift_rate=0.5, horizon=300, seed=3), simple_oracle()
         )
-        for batch in stream:
-            assert batch.ood_fraction in (0.0, 1.0)
+        assert np.isin(stream.ood_fraction, (0.0, 1.0)).all()
 
     def test_mixture_fraction_honored(self):
         stream = generate_stream(
@@ -80,7 +79,7 @@ class TestGenerateStream:
             ),
             simple_oracle(),
         )
-        mean_fraction = np.mean([b.ood_fraction for b in stream])
+        mean_fraction = stream.ood_fraction.mean()
         assert mean_fraction == pytest.approx(0.7, abs=0.02)
 
     def test_mixture_fraction_drawn_uniform_when_unset(self):
@@ -90,7 +89,7 @@ class TestGenerateStream:
             ),
             simple_oracle(),
         )
-        fractions = np.array([b.ood_fraction for b in stream])
+        fractions = stream.ood_fraction
         assert fractions.mean() == pytest.approx(0.5, abs=0.03)
         # Roughly half the shifted batches are majority-OOD.
         assert np.mean(fractions >= 0.5) == pytest.approx(0.5, abs=0.04)
@@ -102,25 +101,27 @@ class TestGenerateStream:
         stream = generate_stream(
             StreamConfig(batch_size=1, shift_rate=1.0, horizon=10_000, seed=6), oracle
         )
-        share_a = sum(1 for b in stream if b.fold == "a") / len(stream)
+        names = [oracle.folds[i].name if event else None
+                 for i, event in zip(stream.fold, stream.event)]
+        share_a = names.count("a") / len(names)
         assert share_a == pytest.approx(0.7, abs=0.015)
 
     def test_determinism(self):
         config = StreamConfig(batch_size=8, shift_rate=0.4, horizon=500, seed=7)
         a = generate_stream(config, simple_oracle())
         b = generate_stream(config, simple_oracle())
-        for batch_a, batch_b in zip(a, b):
-            assert batch_a.is_ood == batch_b.is_ood
-            assert batch_a.accuracy == batch_b.accuracy
-            assert (batch_a.correct == batch_b.correct).all()
+        for name in ("event", "fold", "ood_fraction", "correct"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert np.array_equal(a.is_ood, b.is_ood)
+        assert np.array_equal(a.accuracy, b.accuracy)
 
     def test_correctness_rates_match_oracle(self):
         oracle = simple_oracle(0.9, 0.33)
         stream = generate_stream(
             StreamConfig(batch_size=1, shift_rate=0.5, horizon=50_000, seed=8), oracle
         )
-        ind_acc = np.mean([b.accuracy for b in stream if not b.is_ood])
-        ood_acc = np.mean([b.accuracy for b in stream if b.is_ood])
+        ind_acc = stream.accuracy[~stream.is_ood].mean()
+        ood_acc = stream.accuracy[stream.is_ood].mean()
         assert ind_acc == pytest.approx(0.9, abs=0.01)
         assert ood_acc == pytest.approx(0.33, abs=0.01)
 
@@ -143,13 +144,21 @@ class TestPercentileThreshold:
             ind_percentile_threshold([0.5], 101.0)
 
 
+def judged(stream, threshold, seed=0):
+    """A deployment with a perfect detector: batch correctness is the point."""
+    profile = DetectorProfile(1.0, 1.0)
+    return run_deployment(
+        stream, SyntheticDetector(profile, seed), make_monitor(profile), threshold
+    )
+
+
 class TestBatchCorrect:
     def test_above_threshold(self):
         stream = generate_stream(
             StreamConfig(batch_size=4, shift_rate=0.0, horizon=1, seed=9),
             simple_oracle(1.0, 0.0),
         )
-        assert batch_correct(stream[0], 0.7)
+        assert judged(stream, 0.7).batch_correct[0]
 
     def test_boundary_is_correct(self):
         # Accuracy exactly at the threshold counts as correct.
@@ -157,16 +166,17 @@ class TestBatchCorrect:
             StreamConfig(batch_size=4, shift_rate=0.0, horizon=1, seed=9),
             simple_oracle(1.0, 0.0),
         )
-        assert stream[0].accuracy == 1.0
-        assert batch_correct(stream[0], 1.0)
+        assert stream.accuracy[0] == 1.0
+        trace = judged(stream, 1.0)
+        assert trace.batch_accuracy[0] == 1.0
+        assert trace.batch_correct[0]
 
     def test_single_sample_degenerates_to_correctness(self):
         stream = generate_stream(
             StreamConfig(batch_size=1, shift_rate=0.0, horizon=200, seed=10),
             simple_oracle(0.7, 0.0),
         )
-        for batch in stream:
-            assert batch_correct(batch, 0.5) == bool(batch.correct[0])
+        assert np.array_equal(judged(stream, 0.5).batch_correct, stream.correct[:, 0])
 
 
 class TestBatchCorrectProbability:
@@ -269,9 +279,10 @@ class TestRunDeployment:
             )
 
         a, b = run(), run()
-        assert len(a) == len(b)
-        for ra, rb in zip(a.records, b.records):
-            assert ra == rb
+        assert len(a) == len(b) == config.horizon
+        for name in ("is_ood", "verdict", "batch_accuracy", "batch_correct"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert a.assessments == b.assessments
 
     def test_suffix_windows(self):
         oracle = simple_oracle()
@@ -302,3 +313,31 @@ class TestRunDeployment:
         )
         assert trace.realized_mean_cost(outcome_costs, True) == 635.0
         assert trace.realized_mean_cost(outcome_costs, False) == 635.0
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    tpr=st.floats(0.0, 1.0),
+    tnr=st.floats(0.0, 1.0),
+    batch_size=st.integers(1, 9),
+    shift_rate=st.floats(0.0, 1.0),
+    uniform=st.booleans(),
+)
+def test_run_deployment_verdicts_match_judge_batch(
+    seed, tpr, tnr, batch_size, shift_rate, uniform
+):
+    # One judge_many draw per deployment equals the per-batch judge_batch
+    # loop it replaced, mixed batches included.
+    config = StreamConfig(
+        batch_size=batch_size, shift_rate=shift_rate, horizon=60, uniform=uniform, seed=seed
+    )
+    stream = generate_stream(config, simple_oracle())
+    profile = DetectorProfile(tpr, tnr)
+    monitor = make_monitor(DetectorProfile(0.9, 0.8))
+    trace = run_deployment(stream, SyntheticDetector(profile, seed=seed), monitor, 0.5)
+    loop = SyntheticDetector(profile, seed=seed)
+    assert trace.verdict.tolist() == [
+        loop.judge_batch(f) for f in stream.ood_fraction.tolist()
+    ]
+    assert trace.is_ood.tolist() == [f >= 0.5 for f in stream.ood_fraction.tolist()]
