@@ -47,7 +47,7 @@ from .event_tree import (
     tree_outline,
 )
 from .detectors import SyntheticDetector, detector_grid
-from .monitor import Assessment, Monitor, MonitorConfig
+from .monitor import Assessment, Assessments, Monitor, MonitorConfig
 from .simulation import (
     AccuracyOracle,
     DeploymentTrace,

@@ -133,6 +133,9 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         lines = close_input
 
     out_handle = sys.stdout if args.output is None else open(args.output, "w", encoding="utf-8")
+    # A reader on stdout may wait for each reply before sending the next
+    # verdict, so every row is flushed there; a file is flushed on close.
+    live = out_handle is sys.stdout
     any_alert = False
     try:
         if args.format != "structured":
@@ -143,6 +146,8 @@ def cmd_monitor(args: argparse.Namespace) -> int:
             io.emit_assessment(
                 out_handle, io.assessment_row(index, verdict, assessment), args.format
             )
+            if live:
+                out_handle.flush()
     except ValidationError as exc:
         raise _CliError(EXIT_DATA, f"verdict stream: {exc}") from exc
     finally:

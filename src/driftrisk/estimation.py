@@ -71,8 +71,7 @@ class VerdictTrace:
         self.capacity = int(capacity)
         self._window: deque[bool] = deque(maxlen=self.capacity)
         self._positives = 0  # kept in sync for O(1) means over long windows
-        for verdict in verdicts:
-            self.push(verdict)
+        self.extend(verdicts)
 
     def push(self, verdict: bool) -> "VerdictTrace":
         verdict = bool(verdict)
@@ -80,6 +79,12 @@ class VerdictTrace:
             self._positives -= self._window[0]
         self._positives += verdict
         self._window.append(verdict)
+        return self
+
+    def extend(self, verdicts: Iterable[bool]) -> "VerdictTrace":
+        """Push every verdict in order, in one pass over the window."""
+        self._window.extend(map(bool, verdicts))
+        self._positives = sum(self._window)
         return self
 
     @property

@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Mapping, Union
 
+import numpy as np
+
 from .errors import ConfigurationError, ValidationError, check_number
 
 # Probability bookkeeping tolerance: generous for trees of depth <= 3.
@@ -383,7 +385,9 @@ class CompiledTree:
     cost.  :meth:`evaluate` then performs the floating-point operations of
     :func:`iter_leaves` followed by :func:`expected_accuracy` and
     :func:`expected_risk`, in the same order, so its results equal theirs
-    bit for bit on a tree rebuilt at the new rate.
+    bit for bit on a tree rebuilt at the new rate.  Given an array of rates
+    it applies the same operations entry by entry (numpy rounds each one
+    once, as Python does) and returns arrays.
     """
 
     __slots__ = ("leaves", "priced")
@@ -397,10 +401,14 @@ class CompiledTree:
         self.priced = priced
 
     def evaluate(
-        self, p_event: float, intervention_counts_as: str = "correct"
-    ) -> tuple[float, float | None]:
-        """Expected accuracy and expected risk (None unless priced) at a rate."""
-        if not 0.0 <= p_event <= 1.0:
+        self, p_event: float | np.ndarray, intervention_counts_as: str = "correct"
+    ) -> tuple[float | np.ndarray, float | np.ndarray | None]:
+        """Expected accuracy and expected risk (None unless priced) at a rate.
+
+        ``p_event`` is one rate or an array of rates; the results follow it.
+        """
+        in_range = (p_event >= 0.0) & (p_event <= 1.0)
+        if not (in_range.all() if isinstance(in_range, np.ndarray) else in_range):
             raise ValidationError(f"p_event must be in [0, 1], got {p_event!r}")
         if intervention_counts_as == "correct":
             count_interventions = True
@@ -430,7 +438,8 @@ class CompiledTree:
             if cost is not None:
                 total += prob * cost
         if not count_interventions:
-            if covered <= 0.0:
+            uncovered = covered <= 0.0
+            if uncovered.any() if isinstance(uncovered, np.ndarray) else uncovered:
                 raise ConfigurationError(
                     "no accuracy-bearing leaves are reachable; cannot renormalize"
                 )

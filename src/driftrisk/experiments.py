@@ -266,9 +266,15 @@ def validation_threshold(grid: SweepGrid, oracle: AccuracyOracle, batch_size: in
 
 
 def accuracy_error_cell(
-    grid: SweepGrid, oracle: AccuracyOracle, coords: tuple[int, int, int, int]
+    grid: SweepGrid,
+    oracle: AccuracyOracle,
+    thresholds: tuple[float, ...],
+    coords: tuple[int, int, int, int],
 ) -> CellResult:
-    """One (batch size, trace length, profile, rate) accuracy-error cell."""
+    """One (batch size, trace length, profile, rate) accuracy-error cell.
+
+    ``thresholds[bi]`` is the validation threshold of batch size ``bi``.
+    """
     bi, wi, pi, ri = coords
     batch_size = grid.batch_sizes[bi]
     window = grid.trace_lengths[wi]
@@ -284,7 +290,7 @@ def accuracy_error_cell(
     }
     if profile.informativeness <= DEFAULT_J_FLOOR:
         return CellResult(axes, None, None, 0, refused=True)
-    threshold = validation_threshold(grid, oracle, batch_size)
+    threshold = thresholds[bi]
     table, ind_eff, _ = batched_accuracy_table(oracle, batch_size, threshold)
     config = MonitorConfig(
         topology=grid.topology,
@@ -339,7 +345,14 @@ def accuracy_error_sweep(grid: SweepGrid, oracle: AccuracyOracle, jobs: int = 1)
         for pi in range(len(grid.profiles))
         for ri in range(len(grid.rates))
     ]
-    results = _run_cells(cells, partial(accuracy_error_cell, grid, oracle), jobs)
+    # A threshold depends only on the master seed, the batch size and the
+    # oracle, so every cell of one batch size shares it.
+    thresholds = tuple(
+        validation_threshold(grid, oracle, batch_size) for batch_size in grid.batch_sizes
+    )
+    results = _run_cells(
+        cells, partial(accuracy_error_cell, grid, oracle, thresholds), jobs
+    )
     return ErrorReport(kind="accuracy-error", cells=results)
 
 

@@ -118,29 +118,19 @@ def trace_rows(trace: DeploymentTrace) -> list[dict]:
     tolist() turns array entries into Python scalars: fmt() prints a bool
     as 0/1 but an np.bool_ as True/False, and json rejects np.bool_.
     """
-    columns = zip(
+    assessments = trace.assessments
+    risks = assessments.expected_risk
+    columns = zip(  # in TRACE_COLUMNS order, after the index
         trace.is_ood.tolist(),
         trace.verdict.tolist(),
         trace.batch_accuracy.tolist(),
         trace.batch_correct.tolist(),
-        trace.assessments,
+        assessments.corrected.tolist(),
+        assessments.expected_accuracy.tolist(),
+        [None] * len(trace) if risks is None else risks.tolist(),
+        assessments.alert.tolist(),
     )
-    rows = []
-    for index, (is_ood, verdict, accuracy, correct, assessment) in enumerate(columns):
-        rows.append(
-            {
-                "index": index,
-                "is_ood": is_ood,
-                "verdict": verdict,
-                "batch_accuracy": accuracy,
-                "batch_correct": correct,
-                "p_hat": assessment.p_event.corrected,
-                "expected_accuracy": assessment.expected_accuracy,
-                "expected_risk": assessment.expected_risk,
-                "alert": assessment.alert,
-            }
-        )
-    return rows
+    return [dict(zip(TRACE_COLUMNS, (index, *values))) for index, values in enumerate(columns)]
 
 
 def write_trace_csv(path: str | Path, trace: DeploymentTrace) -> None:
@@ -179,7 +169,10 @@ def assessment_row(index: int, verdict: bool, assessment) -> dict:
 
 
 def emit_assessment(handle: TextIO, row: dict, output_format: str) -> None:
-    """Stream one assessment record as CSV fields or a JSON line."""
+    """Write one assessment record as CSV fields or a JSON line.
+
+    It does not flush; a caller whose reader waits on each line flushes.
+    """
     if output_format == "structured":
         payload = {
             key: (float(fmt(value)) if isinstance(value, float) else value)
@@ -188,4 +181,3 @@ def emit_assessment(handle: TextIO, row: dict, output_format: str) -> None:
         handle.write(json.dumps(payload, sort_keys=True) + "\n")
     else:
         handle.write(",".join(fmt(row.get(column)) for column in ASSESSMENT_COLUMNS) + "\n")
-    handle.flush()

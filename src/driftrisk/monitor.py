@@ -7,6 +7,15 @@ the event tree at the new rate, and emits an assessment with expected
 accuracy, optional expected risk, and a threshold alert.  The tree is
 built and compiled into a leaf table once, when the monitor is created;
 only its two rate-dependent root edges change from verdict to verdict.
+The Rogan-Gladen constants ``1 - TNR`` and ``J`` are fixed at creation
+too, after the informativeness check.
+
+Two entry points share that arithmetic.  :meth:`Monitor.observe` takes one
+verdict and returns an :class:`Assessment`; it serves line-by-line input.
+:meth:`Monitor.observe_many` takes a whole verdict array and returns one
+:class:`Assessments` of arrays, computed with numpy in the same
+floating-point operations and order as the ``observe`` loop, so every
+entry and the monitor's final state equal that loop's bit for bit.
 
 Monitors are deliberately free of randomness: their full state is the
 config plus the trace window, which is what makes snapshot/restore exact.
@@ -17,6 +26,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import SnapshotError, ValidationError, check_number
 from .estimation import (
     DEFAULT_J_FLOOR,
@@ -25,12 +36,12 @@ from .estimation import (
     RateEstimate,
     VerdictTrace,
     require_informative,
-    rogan_gladen,
+    rogan_gladen,  # noqa: F401
     weighted_mean,
 )
-# expected_accuracy and expected_risk are not called here; they stay bound
-# in this module because perfbench/spans.py wraps the monitor's tree calls
-# by these names.
+# rogan_gladen, expected_accuracy and expected_risk are not called here;
+# they stay bound in this module because perfbench/spans.py wraps the
+# monitor's estimation and tree calls by these names.
 from .event_tree import (  # noqa: F401
     INTERVENTION_MODES,
     TreeParams,
@@ -154,13 +165,51 @@ class Assessment:
     using_prior: bool
 
 
+@dataclass(frozen=True)
+class Assessments:
+    """Monitor outputs for an array of verdicts, one entry per verdict.
+
+    Entry i holds the fields of the :class:`Assessment` (and its
+    :class:`RateEstimate`) that the i-th call of an ``observe`` loop
+    returns.  ``expected_risk`` is None when the monitor has no costs.
+    """
+
+    raw_mean: np.ndarray           # float
+    corrected: np.ndarray          # float
+    pre_clamp: np.ndarray          # float
+    clamped: np.ndarray            # bool
+    fill_fraction: np.ndarray      # float
+    using_prior: np.ndarray        # bool
+    expected_accuracy: np.ndarray  # float
+    expected_risk: np.ndarray | None
+    alert: np.ndarray              # bool
+
+    def __len__(self) -> int:
+        return len(self.alert)
+
+
+def _verdict_array(verdicts: np.ndarray) -> np.ndarray:
+    """A 1-D bool array from bools or 0/1 numbers; anything else is rejected."""
+    values = np.asarray(verdicts)
+    if values.ndim != 1:
+        raise ValidationError(f"verdicts must be a 1-D array, got shape {values.shape}")
+    if values.dtype != bool:
+        if values.dtype.kind not in "iuf" or not np.isin(values, (0, 1)).all():
+            raise ValidationError("verdicts must be 0 or 1")
+        values = values.astype(bool)
+    return values
+
+
 class Monitor:
     """Stateful runtime monitor over a single verdict stream."""
 
     def __init__(self, config: MonitorConfig, _window: list[bool] | None = None) -> None:
         self.config = config
-        # Fail fast rather than on the first post-warmup observation.
+        # Fail fast rather than on the first post-warmup observation.  Once
+        # the profile passes, the Rogan-Gladen correction needs no checks.
         require_informative(config.profile, config.epsilon)
+        self._false_positive_rate = 1.0 - config.profile.tnr
+        self._informativeness = config.profile.informativeness
         self.trace = VerdictTrace(config.trace_capacity, _window or ())
         # Build once at the prior rate, so mis-configured accuracies and
         # unpriced reachable leaves surface at construction time, and
@@ -178,36 +227,112 @@ class Monitor:
     def observe(self, verdict: bool) -> Assessment:
         """Ingest one verdict and produce the updated assessment."""
         config = self.config
-        self.trace.push(verdict)
-        raw = weighted_mean(self.trace, config.decay)
-        using_prior = self.trace.fill < config.effective_min_fill
+        trace = self.trace
+        trace.push(verdict)
+        raw = weighted_mean(trace, config.decay)
+        using_prior = trace.fill < config.effective_min_fill
         if using_prior:
-            estimate = RateEstimate(
-                raw_mean=raw,
-                corrected=config.prior_rate,
-                clamped=False,
-                fill_fraction=self.trace.fill_fraction,
-                pre_clamp=config.prior_rate,
-            )
+            pre_clamp = corrected = config.prior_rate
         else:
-            estimate = rogan_gladen(
-                raw, config.profile, config.epsilon, self.trace.fill_fraction
-            )
-        accuracy, risk = self._evaluate(
-            estimate.corrected, config.intervention_counts_as
-        )
+            # Rogan-Gladen, as estimation.rogan_gladen computes it.
+            pre_clamp = (raw - self._false_positive_rate) / self._informativeness
+            corrected = min(1.0, max(0.0, pre_clamp))
+        accuracy, risk = self._evaluate(corrected, config.intervention_counts_as)
         alert = (
             config.risk_threshold is not None
             and risk is not None
             and risk > config.risk_threshold
         )
         return Assessment(
-            p_event=estimate,
+            p_event=RateEstimate(
+                raw_mean=raw,
+                corrected=corrected,
+                clamped=corrected != pre_clamp,
+                fill_fraction=trace.fill_fraction,
+                pre_clamp=pre_clamp,
+            ),
             expected_accuracy=accuracy,
             expected_risk=risk,
             alert=alert,
             using_prior=using_prior,
         )
+
+    def observe_many(self, verdicts: np.ndarray) -> Assessments:
+        """Ingest an array of verdicts (bool, or 0/1) and assess each one.
+
+        Every entry equals, bit for bit, what a loop of :meth:`observe` over
+        the same verdicts returns, and the monitor ends in the state that
+        loop leaves, so :meth:`snapshot` afterwards is the same.  If the
+        tree evaluation raises, the monitor is left unchanged.
+        """
+        new = _verdict_array(verdicts)
+        config = self.config
+        capacity = config.trace_capacity
+        # The restored window, oldest first, then the new verdicts: verdict
+        # i sits at seq[start + i] and its window is seq[end[i] - fill[i]:end[i]].
+        seq = np.concatenate([np.array(self.trace.to_list(), dtype=bool), new])
+        start = len(seq) - len(new)
+        end = np.arange(start + 1, len(seq) + 1)
+        fill = np.minimum(end, capacity)
+        if config.decay == 1.0:
+            # Exact integer counts; one correctly rounded division each,
+            # as in positives / fill.
+            counts = np.concatenate(([0], np.cumsum(seq, dtype=np.int64)))
+            raw = (counts[end] - counts[end - fill]).astype(float) / fill
+        else:
+            raw = self._decayed_means(seq, start, fill)
+        using_prior = fill < config.effective_min_fill
+        pre_clamp = np.where(
+            using_prior,
+            config.prior_rate,
+            (raw - self._false_positive_rate) / self._informativeness,
+        )
+        corrected = np.minimum(1.0, np.maximum(0.0, pre_clamp))
+        accuracy, risk = self._evaluate(corrected, config.intervention_counts_as)
+        if config.risk_threshold is not None and risk is not None:
+            alert = risk > config.risk_threshold
+        else:
+            alert = np.zeros(len(new), dtype=bool)
+        self.trace.extend(new[-capacity:].tolist())
+        return Assessments(
+            raw_mean=raw,
+            corrected=corrected,
+            pre_clamp=pre_clamp,
+            clamped=corrected != pre_clamp,
+            fill_fraction=fill / capacity,
+            using_prior=using_prior,
+            expected_accuracy=accuracy,
+            expected_risk=risk,
+            alert=alert,
+        )
+
+    def _decayed_means(self, seq: np.ndarray, start: int, fill: np.ndarray) -> np.ndarray:
+        """weighted_mean for every verdict from seq[start] on, in its order.
+
+        weighted_mean adds the weight decay**age of each positive verdict,
+        newest first, and the weights of all verdicts for the denominator.
+        The denominator depends only on the fill, so it comes from the same
+        scalar loop.  Numerators are built age by age, one vector add per
+        age, which keeps that newest-to-oldest order for every verdict.
+        """
+        decay = self.config.decay
+        weights = []
+        denominators = []
+        weight = 1.0
+        denominator = 0.0
+        for _ in range(min(self.config.trace_capacity, len(seq))):
+            denominator += weight
+            weights.append(weight)
+            denominators.append(denominator)
+            weight *= decay
+        numerators = np.zeros(len(seq) - start)
+        for age, weight in enumerate(weights):
+            # New verdict i has an age-`age` neighbour, seq[start + i - age],
+            # once start + i >= age.  A negative neighbour adds 0.0, which
+            # leaves the sum exactly as skipping it does.
+            first = max(0, age - start)
+            numerators[first:] += seq[start + first - age : len(seq) - age] * weight
+        return numerators / np.array(denominators)[fill - 1]
 
     def snapshot(self) -> str:
         """Serialize full monitor state to a versioned JSON envelope."""

@@ -1,6 +1,8 @@
 """Synthetic deployment streams and the batch-correctness rule.
 
-Streams and monitored traces are arrays with one entry per batch.  Shift
+Streams and monitored traces are arrays with one entry per batch: a
+deployment draws all its verdicts with one ``judge_many`` call and
+assesses them with one ``Monitor.observe_many`` call.  Shift
 events are Bernoulli per batch; a shifted batch is filled with event (OOD)
 samples drawn from one of the oracle's folds, entirely in uniform mode or
 per-sample at a mixture fraction otherwise.  Per-sample correctness is a
@@ -19,7 +21,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .monitor import Assessment
+    from .monitor import Assessments
 
 from .errors import ConfigurationError, ValidationError, check_number
 from .event_tree import (
@@ -216,25 +218,23 @@ def _window(values, start: int):
 class DeploymentTrace:
     """A monitored deployment run, one array entry per batch.
 
-    The summaries add Python floats with built-in sum() in batch order, so
-    they round exactly as a per-batch loop does.
+    The summaries add Python floats with built-in sum() or a loop, in batch
+    order, so they round exactly as a per-batch loop does.
     """
 
     is_ood: np.ndarray          # bool: majority-rule ground truth
     verdict: np.ndarray         # bool: the detector's verdict
     batch_accuracy: np.ndarray  # float: realized mean accuracy
     batch_correct: np.ndarray   # bool: batch_accuracy reaches the threshold
-    assessments: list["Assessment"]
+    assessments: "Assessments"  # the monitor's output for each verdict
 
     def __len__(self) -> int:
-        return len(self.assessments)
+        return len(self.verdict)
 
     def warmup_end(self) -> int:
         """Index of the first batch estimated from the trace, not the prior."""
-        for i, assessment in enumerate(self.assessments):
-            if not assessment.using_prior:
-                return i
-        return len(self.assessments)
+        estimated = np.flatnonzero(~self.assessments.using_prior)
+        return int(estimated[0]) if len(estimated) else len(self)
 
     def realized_accuracy(self, start: int = 0) -> float:
         """Fraction of correct batches over a suffix window."""
@@ -246,16 +246,16 @@ class DeploymentTrace:
         return np.count_nonzero(window) / len(window)
 
     def mean_expected_accuracy(self, start: int = 0) -> float:
-        window = _window(self.assessments, start)
-        return sum(a.expected_accuracy for a in window) / len(window)
+        window = _window(self.assessments.expected_accuracy, start)
+        return sum(window.tolist()) / len(window)
 
     def mean_expected_risk(self, start: int = 0) -> float:
-        window = _window(self.assessments, start)
+        if self.assessments.expected_risk is None:
+            raise ConfigurationError("trace carries no risk estimates")
+        window = _window(self.assessments.expected_risk, start)
         total = 0.0
-        for assessment in window:
-            if assessment.expected_risk is None:
-                raise ConfigurationError("trace carries no risk estimates")
-            total += assessment.expected_risk
+        for risk in window.tolist():
+            total += risk
         return total / len(window)
 
     def realized_mean_cost(
@@ -292,7 +292,8 @@ def run_deployment(
     """Drive a monitor over a generated stream, one verdict per batch.
 
     All verdicts come from one judge_many draw, which equals a judge_batch
-    call per batch on the same generator.
+    call per batch on the same generator, and the monitor assesses them in
+    one observe_many call, which equals an observe call per batch.
     """
     is_ood = stream.is_ood
     verdicts = detector.judge_many(is_ood)
@@ -302,5 +303,5 @@ def run_deployment(
         verdict=verdicts,
         batch_accuracy=accuracy,
         batch_correct=accuracy >= correct_threshold,
-        assessments=[monitor.observe(verdict) for verdict in verdicts.tolist()],
+        assessments=monitor.observe_many(verdicts),
     )

@@ -147,6 +147,36 @@ class TestMonitorCommand:
         assert code == EXIT_OK
         assert len(captured.out.strip().splitlines()) == 4
 
+    @pytest.mark.parametrize("output_format", ["csv", "structured"])
+    def test_stdout_is_flushed_once_per_verdict(
+        self, tmp_path, config_path, monkeypatch, output_format
+    ):
+        # A client that waits for each reply before sending the next verdict
+        # needs every row on stdout flushed as soon as it is written.
+        import io as _io
+
+        class CountingStdout(_io.StringIO):
+            def __init__(self):
+                super().__init__()
+                self.flushes = 0
+                self.unflushed_rows = []
+
+            def write(self, text):
+                self.unflushed_rows.append(text)
+                return super().write(text)
+
+            def flush(self):
+                self.flushes += 1
+                self.unflushed_rows.clear()
+                super().flush()
+
+        stdout = CountingStdout()
+        monkeypatch.setattr("sys.stdin", _io.StringIO("0\n1\n\n1\n0\n0\n"))
+        monkeypatch.setattr("sys.stdout", stdout)
+        assert main(["monitor", "--config", config_path, "--format", output_format]) == EXIT_OK
+        assert stdout.flushes == 5
+        assert stdout.unflushed_rows == []
+
 
     def test_missing_cost_entry_fails_before_any_row(self, tmp_path, capsys):
         payload = case_study_config_dict()

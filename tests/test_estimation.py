@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from driftrisk.errors import (
     CalibrationError,
@@ -22,6 +24,11 @@ from driftrisk.estimation import (
     weighted_mean,
 )
 from driftrisk.event_tree import IND, IND_NEG, OOD, OOD_NEG
+
+unit_floats = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0]),
+    st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+)
 
 
 class TestVerdictTrace:
@@ -149,18 +156,16 @@ class TestRoganGladen:
         with pytest.raises(UninformativeDetectorError):
             rogan_gladen(0.5, profile, epsilon=profile.informativeness)
 
-    def test_inversion_property(self):
-        # Correcting the forward-biased mean recovers the true rate.
-        rng = np.random.default_rng(41)
-        count = 0
-        while count < 1000:
-            p = rng.random()
-            profile = DetectorProfile(rng.random(), rng.random())
-            if profile.informativeness <= 0.05:
-                continue
-            count += 1
-            estimate = rogan_gladen(forward_bias(p, profile), profile)
-            assert abs(estimate.pre_clamp - p) <= 1e-12
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(p=unit_floats, tpr=unit_floats, tnr=unit_floats)
+    def test_inversion_property(self, p, tpr, tnr):
+        # Correcting the forward-biased mean recovers the true rate anywhere
+        # on the informative region, endpoints and the J floor included.
+        profile = DetectorProfile(tpr, tnr)
+        assume(profile.informativeness > 0.05)
+        estimate = rogan_gladen(forward_bias(p, profile), profile)
+        assert abs(estimate.pre_clamp - p) <= 1e-12
+        assert estimate.corrected == pytest.approx(p, abs=1e-12)
 
     def test_clamp_flag_truthfulness(self):
         rng = np.random.default_rng(43)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -282,7 +283,10 @@ class TestRunDeployment:
         assert len(a) == len(b) == config.horizon
         for name in ("is_ood", "verdict", "batch_accuracy", "batch_correct"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
-        assert a.assessments == b.assessments
+        for field in dataclasses.fields(a.assessments):
+            assert np.array_equal(
+                getattr(a.assessments, field.name), getattr(b.assessments, field.name)
+            ), field.name
 
     def test_suffix_windows(self):
         oracle = simple_oracle()
