@@ -44,7 +44,6 @@ from .event_tree import (
     expected_risk,
     leaf_distribution,
     sensitivity,
-    tree_outline,
 )
 from .detectors import SyntheticDetector, detector_grid
 from .monitor import Assessment, Assessments, Monitor, MonitorConfig

@@ -534,25 +534,3 @@ def sensitivity(
     return value(_rebuild_with(tree, parameter, 1.0)) - value(
         _rebuild_with(tree, parameter, 0.0)
     )
-
-
-def tree_outline(tree: EventTree) -> str:
-    """Human-readable indented rendering of the tree, for reports."""
-    lines = [f"event tree [{tree.topology}]  p_event={tree.params.p_event:.9g}"]
-
-    def walk(node: Union[Node, Leaf], prefix: str, prob: float, depth: int) -> None:
-        indent = "  " * depth
-        if isinstance(node, Leaf):
-            parts = [f"{indent}{prefix}-> {node.label}  p={prob:.9g}"]
-            if node.correctness is not None:
-                parts.append(f"correctness={node.correctness:.9g}")
-            if node.cost is not None:
-                parts.append(f"cost={node.cost:.9g}")
-            lines.append("  ".join(parts))
-            return
-        lines.append(f"{indent}{prefix}{node.label}")
-        for edge_prob, child in node.edges:
-            walk(child, f"[{edge_prob:.9g}] ", prob * edge_prob, depth + 1)
-
-    walk(tree.root, "", 1.0, 0)
-    return "\n".join(lines)

@@ -8,7 +8,6 @@ parallel workers and still reproduce byte-identically.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Sequence
@@ -160,6 +159,9 @@ class ErrorReport:
 def _run_cells(cells, evaluate, jobs: int):
     if jobs <= 1:
         return [evaluate(coords) for coords in cells]
+    # Imported here: the process-pool module adds about 20 ms to every command.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(evaluate, cells))
 

@@ -8,10 +8,13 @@ from __future__ import annotations
 
 import csv
 import json
+from functools import lru_cache
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .errors import CalibrationError, ValidationError
+from .monitor import Assessments
 from .simulation import DeploymentTrace
 
 SCHEMA_VERSION = 1
@@ -67,21 +70,57 @@ def read_labeled_records(path: str | Path) -> list[tuple[bool, bool | None, bool
     return rows
 
 
-def iter_verdicts(lines: Iterable[str]) -> Iterator[bool]:
-    """Parse a verdict stream, one 0/1 per line; blank lines are skipped.
+def _parse_verdicts(
+    lines: Iterable[str], first_line_no: int
+) -> tuple[list[bool], ValidationError | None]:
+    """The verdicts on lines numbered from first_line_no; blank lines are skipped.
 
-    Malformed lines raise with the offending line number in the message.
+    Parsing stops at the first malformed line: the verdicts before it come
+    back with a ValidationError naming that line, for the caller to raise
+    once it has used them.
+    """
+    verdicts = []
+    for line_no, line in enumerate(lines, start=first_line_no):
+        token = line.strip()
+        if token == "1":
+            verdicts.append(True)
+        elif token == "0":
+            verdicts.append(False)
+        elif token:
+            return verdicts, ValidationError(
+                f"line {line_no}: expected verdict 0 or 1, got {token!r}"
+            )
+    return verdicts, None
+
+
+def iter_verdict_chunks(lines: Iterable[str], size: int) -> Iterator[list[bool]]:
+    """Parse a verdict stream, one 0/1 per line, ``size`` lines at a time.
+
+    Yields the verdicts of each run of ``size`` lines.  A malformed line
+    raises a ValidationError with its line number, after the verdicts
+    before it in its run have been yielded.
+    """
+    lines = iter(lines)
+    line_no = 1
+    while chunk := list(islice(lines, size)):
+        verdicts, error = _parse_verdicts(chunk, line_no)
+        yield verdicts
+        if error is not None:
+            raise error
+        line_no += len(chunk)
+
+
+def iter_verdicts(lines: Iterable[str]) -> Iterator[bool]:
+    """Parse a verdict stream by the iter_verdict_chunks rule, line by line.
+
+    Each verdict is yielded as soon as its line is read, for a reader that
+    answers one verdict at a time.
     """
     for line_no, line in enumerate(lines, start=1):
-        token = line.strip()
-        if not token:
-            continue
-        if token == "0":
-            yield False
-        elif token == "1":
-            yield True
-        else:
-            raise ValidationError(f"line {line_no}: expected verdict 0 or 1, got {token!r}")
+        verdicts, error = _parse_verdicts((line,), line_no)
+        if error is not None:
+            raise error
+        yield from verdicts
 
 
 def write_rows_csv(path: str | Path, rows: Sequence[dict], columns: Sequence[str]) -> None:
@@ -112,15 +151,16 @@ TRACE_COLUMNS = (
 )
 
 
-def trace_rows(trace: DeploymentTrace) -> list[dict]:
-    """One row per batch.
+def trace_columns(trace: DeploymentTrace) -> list[list]:
+    """The TRACE_COLUMNS fields of a trace, one list per column.
 
     tolist() turns array entries into Python scalars: fmt() prints a bool
     as 0/1 but an np.bool_ as True/False, and json rejects np.bool_.
     """
     assessments = trace.assessments
     risks = assessments.expected_risk
-    columns = zip(  # in TRACE_COLUMNS order, after the index
+    return [
+        list(range(len(trace))),
         trace.is_ood.tolist(),
         trace.verdict.tolist(),
         trace.batch_accuracy.tolist(),
@@ -129,8 +169,12 @@ def trace_rows(trace: DeploymentTrace) -> list[dict]:
         assessments.expected_accuracy.tolist(),
         [None] * len(trace) if risks is None else risks.tolist(),
         assessments.alert.tolist(),
-    )
-    return [dict(zip(TRACE_COLUMNS, (index, *values))) for index, values in enumerate(columns)]
+    ]
+
+
+def trace_rows(trace: DeploymentTrace) -> list[dict]:
+    """One row per batch."""
+    return [dict(zip(TRACE_COLUMNS, row)) for row in zip(*trace_columns(trace))]
 
 
 def write_trace_csv(path: str | Path, trace: DeploymentTrace) -> None:
@@ -168,16 +212,86 @@ def assessment_row(index: int, verdict: bool, assessment) -> dict:
     }
 
 
-def emit_assessment(handle: TextIO, row: dict, output_format: str) -> None:
-    """Write one assessment record as CSV fields or a JSON line.
+def assessment_columns(
+    first_index: int, verdicts: list[bool], assessments: Assessments
+) -> list[list]:
+    """The ASSESSMENT_COLUMNS fields of one observe_many call, one list per column.
 
-    It does not flush; a caller whose reader waits on each line flushes.
+    Row i is the assessment_row of verdict ``verdicts[i]`` at index
+    ``first_index + i``.
+    """
+    risks = assessments.expected_risk
+    return [
+        list(range(first_index, first_index + len(verdicts))),
+        verdicts,
+        assessments.raw_mean.tolist(),
+        assessments.corrected.tolist(),
+        assessments.clamped.tolist(),
+        assessments.fill_fraction.tolist(),
+        assessments.using_prior.tolist(),
+        assessments.expected_accuracy.tolist(),
+        [None] * len(verdicts) if risks is None else risks.tolist(),
+        assessments.alert.tolist(),
+    ]
+
+
+def _json_float(value: float) -> str:
+    """A finite float as a JSON line prints it, at 9 significant digits."""
+    return repr(float(format(value, ".9g")))
+
+
+def _json_value(value) -> str:
+    """A value as a JSON line prints it."""
+    return _json_float(value) if isinstance(value, float) else json.dumps(value)
+
+
+# fmt() and _json_value() for the exact types that tolist() gives, mostly
+# as C-level calls; a column of any other type goes through those functions.
+_CSV_CELLS = {float: "{:.9g}".format, bool: ("0", "1").__getitem__, int: str}
+_JSON_CELLS = {float: _json_float, bool: ("false", "true").__getitem__, int: str}
+
+
+@lru_cache(maxsize=8)
+def _json_layout(names: tuple[str, ...]) -> tuple[tuple[int, str], ...]:
+    """(column, key prefix) of each field of a JSON line, in sorted-key order."""
+    return tuple((names.index(name), f'"{name}": ') for name in sorted(names))
+
+
+def format_rows(names: tuple[str, ...], columns: Sequence[list], output_format: str) -> str:
+    """Rows given column by column, as csv lines or sorted-key JSON lines.
+
+    ``columns[j]`` holds field ``names[j]`` (a plain identifier) of every
+    row, all of one type, as ``tolist()`` gives them.  A csv field reads as
+    fmt() renders it; a JSON line equals ``json.dumps`` with sorted keys of
+    the row with each float rounded to 9 significant digits.
+    """
+    if not columns[0]:
+        return ""
+    if output_format == "structured":
+        cells = [
+            list(map(prefix.__add__, map(
+                _JSON_CELLS.get(type(columns[j][0]), _json_value), columns[j]
+            )))
+            for j, prefix in _json_layout(names)
+        ]
+        return "{" + "}\n{".join(map(", ".join, zip(*cells))) + "}\n"
+    cells = [list(map(_CSV_CELLS.get(type(column[0]), fmt), column)) for column in columns]
+    return "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
+def emit_assessment(handle: TextIO, row: dict, output_format: str) -> None:
+    """Write one record (field name to value, in column order) as format_rows would.
+
+    The values are rendered one by one by the same cell rules, which costs
+    a single row less than format_rows's work per column.  It does not
+    flush; a caller whose reader waits on each line flushes.
     """
     if output_format == "structured":
-        payload = {
-            key: (float(fmt(value)) if isinstance(value, float) else value)
-            for key, value in row.items()
-        }
-        handle.write(json.dumps(payload, sort_keys=True) + "\n")
+        values = tuple(row.values())
+        line = "{" + ", ".join([
+            prefix + _JSON_CELLS.get(type(values[j]), _json_value)(values[j])
+            for j, prefix in _json_layout(tuple(row))
+        ]) + "}\n"
     else:
-        handle.write(",".join(fmt(row.get(column)) for column in ASSESSMENT_COLUMNS) + "\n")
+        line = ",".join([_CSV_CELLS.get(type(value), fmt)(value) for value in row.values()]) + "\n"
+    handle.write(line)

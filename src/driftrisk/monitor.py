@@ -11,9 +11,10 @@ The Rogan-Gladen constants ``1 - TNR`` and ``J`` are fixed at creation
 too, after the informativeness check.
 
 Two entry points share that arithmetic.  :meth:`Monitor.observe` takes one
-verdict and returns an :class:`Assessment`; it serves line-by-line input.
-:meth:`Monitor.observe_many` takes a whole verdict array and returns one
-:class:`Assessments` of arrays, computed with numpy in the same
+verdict and returns an :class:`Assessment`; it serves a live pipe, one
+reply per verdict.  :meth:`Monitor.observe_many` takes a whole verdict
+array (a simulated deployment, or a chunk of a recorded verdict file) and
+returns one :class:`Assessments` of arrays, computed with numpy in the same
 floating-point operations and order as the ``observe`` loop, so every
 entry and the monitor's final state equal that loop's bit for bit.
 
@@ -232,7 +233,7 @@ class Monitor:
         raw = weighted_mean(trace, config.decay)
         using_prior = trace.fill < config.effective_min_fill
         if using_prior:
-            pre_clamp = corrected = config.prior_rate
+            pre_clamp = corrected = float(config.prior_rate)
         else:
             # Rogan-Gladen, as estimation.rogan_gladen computes it.
             pre_clamp = (raw - self._false_positive_rate) / self._informativeness
@@ -366,9 +367,15 @@ class Monitor:
             )
         try:
             config = MonitorConfig.from_dict(envelope["config"])
-            window = [bool(v) for v in envelope["window"]]
+            window = envelope["window"]
         except (KeyError, TypeError, ValidationError) as exc:
             raise SnapshotError(f"corrupt snapshot payload: {exc}") from exc
+        if not isinstance(window, list) or not all(
+            type(v) in (bool, int) and v in (0, 1) for v in window
+        ):
+            raise SnapshotError(
+                "corrupt snapshot payload: the window must be a list of 0/1 or booleans"
+            )
         if len(window) > config.trace_capacity:
             raise SnapshotError("corrupt snapshot payload: window exceeds capacity")
-        return cls(config, _window=window)
+        return cls(config, _window=[bool(v) for v in window])

@@ -2,19 +2,31 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
+import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from driftrisk import cli
 from driftrisk.cli import (
     EXIT_ALERT,
     EXIT_DATA,
     EXIT_OK,
     EXIT_UNINFORMATIVE,
     EXIT_USAGE,
+    VERDICT_CHUNK_LINES,
     main,
 )
+from driftrisk.monitor import Monitor
 
 from conftest import CASE_STUDY_COSTS, case_study_config_dict
 
@@ -195,6 +207,158 @@ class TestMonitorCommand:
         )
         assert code == EXIT_DATA
         assert not out.exists()
+
+
+def monitor_bytes(config, text, output_format, source, tmp_dir):
+    """Exit code, stderr and output bytes of one monitor run over ``text``.
+
+    ``source`` "file" passes --input, "stdin-file" redirects stdin from a
+    regular file, and "stdin-memory" gives stdin as a StringIO (no fileno),
+    which takes the line-by-line path.
+    """
+    tmp_dir = Path(tmp_dir)
+    config_path = tmp_dir / "config.json"
+    config_path.write_text(json.dumps(config))
+    verdicts = tmp_dir / "verdicts.txt"
+    verdicts.write_text(text)
+    out = tmp_dir / f"out-{source}.txt"
+    argv = ["monitor", "--config", str(config_path), "--output", str(out),
+            "--format", output_format]
+    stderr = io.StringIO()
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(sys, "stderr", stderr))
+        if source == "file":
+            argv += ["--input", str(verdicts)]
+        elif source == "stdin-file":
+            handle = stack.enter_context(open(verdicts, encoding="utf-8"))
+            stack.enter_context(mock.patch.object(sys, "stdin", handle))
+        else:
+            stack.enter_context(mock.patch.object(sys, "stdin", io.StringIO(text)))
+        code = main(argv)
+    return code, stderr.getvalue(), out.read_bytes() if out.exists() else None
+
+
+VERDICT_LINES = st.sampled_from(["0\n", "1\n", "\n", " \n", " 1 \n", "\t0\r\n"])
+
+
+@st.composite
+def monitor_configs(draw):
+    payload = case_study_config_dict()
+    monitor = payload["monitor"]
+    capacity = draw(st.integers(1, 12))
+    monitor.update(
+        topology=draw(st.sampled_from(["base", "rv"])),
+        trace_capacity=capacity,
+        min_fill=draw(st.integers(1, capacity)),
+        decay=draw(st.sampled_from([1.0, 0.9, 0.5])),
+        prior_rate=draw(st.sampled_from([0.3, 0, 1])),
+        profile=draw(st.sampled_from([{"tpr": 0.95, "tnr": 0.55}, {"tpr": 1.0, "tnr": 1.0}])),
+        intervention_counts_as=draw(st.sampled_from(["correct", "excluded"])),
+    )
+    if not draw(st.booleans()):
+        del monitor["costs"], monitor["risk_threshold"]
+    return payload
+
+
+class TestMonitorRegularFile:
+    """A regular-file input is assessed in chunks; a pipe line by line.
+
+    Both must write the same bytes and exit with the same code.
+    """
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        config=monitor_configs(),
+        lines=st.lists(VERDICT_LINES, max_size=60),
+        bad_line=st.one_of(st.none(), st.integers(0, 60)),
+        chunk_lines=st.integers(1, 9),
+        output_format=st.sampled_from(["csv", "structured"]),
+    )
+    def test_chunked_file_equals_line_by_line(
+        self, config, lines, bad_line, chunk_lines, output_format
+    ):
+        if bad_line is not None:
+            lines.insert(min(bad_line, len(lines)), "2\n")
+        text = "".join(lines)
+        with tempfile.TemporaryDirectory() as tmp_dir, mock.patch.object(
+            cli, "VERDICT_CHUNK_LINES", chunk_lines
+        ):
+            chunked = monitor_bytes(config, text, output_format, "file", tmp_dir)
+            line_by_line = monitor_bytes(config, text, output_format, "stdin-memory", tmp_dir)
+        assert chunked == line_by_line
+
+    @pytest.mark.parametrize("output_format", ["csv", "structured"])
+    @pytest.mark.parametrize("decay", [1.0, 0.97])
+    @pytest.mark.parametrize("priced", [True, False])
+    def test_longer_than_one_chunk(self, tmp_path, output_format, decay, priced):
+        config = case_study_config_dict()
+        config["monitor"]["decay"] = decay
+        if not priced:
+            del config["monitor"]["costs"], config["monitor"]["risk_threshold"]
+        rng = np.random.default_rng(3)
+        lines = ["1\n" if v else "0\n" for v in rng.random(2 * VERDICT_CHUNK_LINES + 300) < 0.6]
+        # Blank lines at the end of the first chunk and the start of the
+        # second and third.
+        for at in (2 * VERDICT_CHUNK_LINES, VERDICT_CHUNK_LINES, VERDICT_CHUNK_LINES - 1):
+            lines[at] = "\n"
+        text = "".join(lines)
+        chunked = monitor_bytes(config, text, output_format, "file", tmp_path)
+        assert chunked == monitor_bytes(config, text, output_format, "stdin-memory", tmp_path)
+        assert chunked[2].count(b"\n") == len(lines) - 3 + (output_format == "csv")
+
+    def test_malformed_line_past_first_chunk(self, tmp_path):
+        bad = VERDICT_CHUNK_LINES + 200  # 1-based line number of the bad line
+        text = "".join("1\n" if i % 2 else "0\n" for i in range(bad - 1)) + "yes\n" + "1\n" * 50
+        code, err, out = monitor_bytes(case_study_config_dict(), text, "csv", "file", tmp_path)
+        assert code == EXIT_DATA
+        assert f"line {bad}: expected verdict 0 or 1, got 'yes'" in err
+        rows = out.decode().splitlines()[1:]
+        assert [int(row.split(",")[0]) for row in rows] == list(range(bad - 1))
+        assert (code, err, out) == monitor_bytes(
+            case_study_config_dict(), text, "csv", "stdin-memory", tmp_path
+        )
+
+    def test_alert_only_in_a_later_chunk(self, tmp_path):
+        # All-negative verdicts estimate a rate of 0 (no alert); a run of
+        # positives estimates 1, whose rv risk is above the threshold.
+        text = "0\n" * (VERDICT_CHUNK_LINES + 100) + "1\n" * 150
+        code, _, out = monitor_bytes(case_study_config_dict(), text, "csv", "file", tmp_path)
+        assert code == EXIT_ALERT
+        alerts = [row.rsplit(",", 1)[1] for row in out.decode().splitlines()[1:]]
+        assert "1" not in alerts[:VERDICT_CHUNK_LINES + 100]
+        assert "1" in alerts
+
+    def test_redirected_stdin_takes_the_chunked_path(self, tmp_path):
+        text = "".join("1\n" if i % 3 else "0\n" for i in range(3000))
+        calls = []
+        observe_many = Monitor.observe_many
+
+        def counting(self, verdicts):
+            calls.append(len(verdicts))
+            return observe_many(self, verdicts)
+
+        with mock.patch.object(Monitor, "observe_many", counting):
+            redirected = monitor_bytes(
+                case_study_config_dict(), text, "structured", "stdin-file", tmp_path
+            )
+        assert calls == [1024, 1024, 952]
+        assert redirected == monitor_bytes(
+            case_study_config_dict(), text, "structured", "stdin-memory", tmp_path
+        )
+
+    def test_failing_verdict_inside_a_chunk(self, tmp_path):
+        # A perfect detector in "excluded" mode cannot renormalize once the
+        # estimated rate reaches 1: the rows before that verdict are written.
+        config = case_study_config_dict()
+        config["monitor"].update(
+            profile={"tpr": 1.0, "tnr": 1.0}, intervention_counts_as="excluded",
+            trace_capacity=5,
+        )
+        text = "0\n" * 40 + "1\n" * 10
+        chunked = monitor_bytes(config, text, "csv", "file", tmp_path)
+        assert chunked[0] == EXIT_DATA and "cannot renormalize" in chunked[1]
+        assert len(chunked[2].splitlines()) == 1 + 44
+        assert chunked == monitor_bytes(config, text, "csv", "stdin-memory", tmp_path)
 
 
 # Config values of the wrong type or outside their domain: each must stop

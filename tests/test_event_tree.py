@@ -22,7 +22,6 @@ from driftrisk.event_tree import (
     leaf_distribution,
     parse_condition,
     sensitivity,
-    tree_outline,
     tree_parameters,
 )
 
@@ -369,12 +368,3 @@ def _central_difference(topology, params, parameter, costs, h):
         return expected_risk(tree, costs)
 
     return (value_at(h) - value_at(-h)) / (2 * h)
-
-
-class TestOutline:
-    def test_contains_every_leaf(self, clinical_base_params, outcome_costs):
-        tree = build_base_tree(clinical_base_params, costs=outcome_costs)
-        outline = tree_outline(tree)
-        for label in leaf_distribution(tree):
-            assert label in outline
-        assert "p_event=0.3" in outline

@@ -3,16 +3,22 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftrisk.detectors import SyntheticDetector
 from driftrisk.errors import CalibrationError, ValidationError
 from driftrisk.estimation import DetectorProfile
 from driftrisk.io import (
+    ASSESSMENT_COLUMNS,
     emit_assessment,
     fmt,
+    format_rows,
+    iter_verdict_chunks,
     iter_verdicts,
     read_labeled_records,
     trace_rows,
@@ -45,6 +51,56 @@ class TestIterVerdicts:
     def test_malformed_line_number_reported(self):
         with pytest.raises(ValidationError, match="line 2"):
             list(iter_verdicts(["0\n", "yes\n"]))
+
+    def test_chunks_yield_the_lines_before_a_malformed_one(self):
+        chunks = iter_verdict_chunks(["1\n", "\n", "0\n", "1\n", "0\n", "x\n", "1\n"], 4)
+        assert next(chunks) == [True, False, True]
+        assert next(chunks) == [False]
+        with pytest.raises(ValidationError, match="line 6: expected verdict 0 or 1, got 'x'"):
+            next(chunks)
+
+
+# Values of the types tolist() gives for each assessment column.
+ROW_VALUES = st.tuples(
+    st.integers(0, 10**9),
+    st.booleans(),
+    *[st.floats(allow_nan=False, allow_infinity=False)] * 2,
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.booleans(),
+    *[st.floats(allow_nan=False, allow_infinity=False)] * 2,
+    st.booleans(),
+)
+
+
+class TestFormatRows:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(rows=st.lists(ROW_VALUES, max_size=5), priced=st.booleans())
+    def test_equals_fmt_and_json_dumps_row_by_row(self, rows, priced):
+        # format_rows renders columns, emit_assessment one row; both must
+        # equal fmt() fields and json.dumps of the 9-digit row.
+        rows = [row[:8] + ((row[8] if priced else None),) + row[9:] for row in rows]
+        columns = [list(column) for column in zip(*rows)] or [[] for _ in ASSESSMENT_COLUMNS]
+        expected = {
+            "csv": "".join(",".join(fmt(value) for value in row) + "\n" for row in rows),
+            "structured": "".join(
+                json.dumps(
+                    {
+                        name: float(fmt(value)) if isinstance(value, float) else value
+                        for name, value in zip(ASSESSMENT_COLUMNS, row)
+                    },
+                    sort_keys=True,
+                )
+                + "\n"
+                for row in rows
+            ),
+        }
+        for output_format, text in expected.items():
+            assert format_rows(ASSESSMENT_COLUMNS, columns, output_format) == text
+            handle = io.StringIO()
+            for row in rows:
+                emit_assessment(handle, dict(zip(ASSESSMENT_COLUMNS, row)), output_format)
+            assert handle.getvalue() == text
 
 
 class TestLabeledRecords:

@@ -45,6 +45,13 @@ class TestObserve:
         assessment = monitor.observe(False)
         assert not assessment.using_prior
 
+    def test_integer_prior_is_a_float_rate(self):
+        # observe_many gives warm-up rates as floats; observe must too, or
+        # structured output prints an integer prior_rate 1 as 1, not 1.0.
+        monitor = Monitor(config(capacity=5, prior=1))
+        estimate = monitor.observe(True).p_event
+        assert type(estimate.corrected) is float and type(estimate.pre_clamp) is float
+
     def test_prior_lasts_exactly_min_fill_minus_one(self):
         monitor = Monitor(config(capacity=10, min_fill=4))
         flags = [monitor.observe(True).using_prior for _ in range(8)]
@@ -288,3 +295,26 @@ class TestSnapshot:
         envelope["window"] = [1, 0, 1, 1]
         with pytest.raises(SnapshotError, match="window"):
             Monitor.restore(json.dumps(envelope))
+
+    @pytest.mark.parametrize(
+        "window",
+        [["x", 1], [2, 0], [0.5], [1.0, 0], [None], [[1]], "101", {"1": 1}],
+    )
+    def test_window_entries_other_than_0_1_or_bools_rejected(self, window):
+        import json
+
+        monitor = Monitor(config(capacity=4))
+        envelope = json.loads(monitor.snapshot())
+        envelope["window"] = window
+        with pytest.raises(SnapshotError, match="window"):
+            Monitor.restore(json.dumps(envelope))
+
+    def test_window_of_bools_and_0_1_restores(self):
+        import json
+
+        monitor = Monitor(config(capacity=4))
+        envelope = json.loads(monitor.snapshot())
+        envelope["window"] = [True, 0, 1, False]
+        assert Monitor.restore(json.dumps(envelope)).trace.to_list() == [
+            True, False, True, False,
+        ]
