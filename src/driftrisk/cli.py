@@ -229,25 +229,28 @@ _CBA_REPORT_COLUMNS = ("classifier_delta", "detector_delta", "risk")
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     _require(config, "sweep")
-    sweep = config.sweep
-    master_seed = sweep.master_seed if args.seed is None else args.seed
+    master_seed = config.sweep.master_seed if args.seed is None else args.seed
+    try:
+        sweep = replace(config.sweep, master_seed=master_seed)
+        if args.kind in ("rate-error", "accuracy-error"):
+            sweep = sweep.for_error_sweep()
+    except ValidationError as exc:
+        raise _CliError(EXIT_USAGE, f"config error: {exc}") from exc
     output = Path(args.output)
     output.mkdir(parents=True, exist_ok=True)
     metadata = {
         "schema_version": SCHEMA_VERSION,
         "kind": args.kind,
-        "master_seed": master_seed,
-        "grid": sweep.to_dict(),
+        "master_seed": sweep.master_seed,
+        "grid": config.sweep.to_dict(),
     }
 
     if args.kind == "rate-error":
-        report = rate_error_sweep(sweep.to_grid(master_seed), jobs=args.jobs)
+        report = rate_error_sweep(sweep, jobs=args.jobs)
         io.write_rows_csv(output / "report.csv", report.to_rows(), _RATE_REPORT_COLUMNS)
     elif args.kind == "accuracy-error":
         _require(config, "oracle")
-        report = accuracy_error_sweep(
-            sweep.to_grid(master_seed), config.oracle, jobs=args.jobs
-        )
+        report = accuracy_error_sweep(sweep, config.oracle, jobs=args.jobs)
         io.write_rows_csv(
             output / "report.csv", report.to_rows(), _ACCURACY_REPORT_COLUMNS
         )
@@ -265,7 +268,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             config.monitor.risk_threshold,
             horizon=sweep.risk_horizon,
             trace_length=sweep.risk_trace_length,
-            master_seed=master_seed,
+            master_seed=sweep.master_seed,
         )
         rows = [{"kind": "point", **row} for row in result.to_rows()]
         for curve, rate in sorted(result.crossings.items()):

@@ -2,12 +2,15 @@
 
 Every error raised by driftrisk derives from DriftRiskError so callers can
 catch the whole family at once.  ValidationError doubles as a ValueError for
-idiomatic use at API boundaries, and :func:`check_number` is the one typed
-check that numeric config fields pass before their range checks.
+idiomatic use at API boundaries.  :func:`check_number` is the one typed
+check that numeric config fields pass before their range checks, and
+:func:`check_fields` the one key check of a config section that holds the
+fields of a dataclass.
 """
 
 import math
 import numbers
+from dataclasses import MISSING, fields
 
 
 class DriftRiskError(Exception):
@@ -32,6 +35,31 @@ def check_number(name: str, value, integer: bool = False):
     if not integer and not math.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value!r}")
     return value
+
+
+def check_keys(section: str, payload, allowed, required=frozenset()) -> None:
+    """Reject a config section that is not an object, has unknown keys or lacks required ones."""
+    if not isinstance(payload, dict):
+        raise ValidationError(f"{section} must be an object, got {type(payload).__name__}")
+    unknown = set(payload) - set(allowed)
+    if unknown:
+        raise ValidationError(f"unknown keys in {section}: {sorted(unknown)}")
+    missing = set(required) - set(payload)
+    if missing:
+        raise ValidationError(f"{section} is missing required keys: {sorted(missing)}")
+
+
+def check_fields(section: str, payload, cls, extra=frozenset()) -> None:
+    """check_keys for a section holding the fields of dataclass ``cls``, plus ``extra``.
+
+    Every field is allowed, and the fields without a default are required.
+    """
+    check_keys(
+        section,
+        payload,
+        {f.name for f in fields(cls)} | set(extra),
+        {f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING},
+    )
 
 
 class ConfigurationError(DriftRiskError):

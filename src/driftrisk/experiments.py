@@ -8,14 +8,14 @@ parallel workers and still reproduce byte-identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from .detectors import SyntheticDetector
-from .errors import ValidationError
+from .detectors import SyntheticDetector, detector_grid
+from .errors import ValidationError, check_fields, check_number
 from .estimation import (
     AccuracyCell,
     ConditionalAccuracyTable,
@@ -43,6 +43,7 @@ from .simulation import (
     generate_stream,
     ind_percentile_threshold,
     run_deployment,
+    sequential_sum,
 )
 
 # Sweep-kind tags keep per-cell seed streams distinct across sweep types.
@@ -72,12 +73,28 @@ def derive_seed(master_seed: int, *coords: int) -> int:
     return int(np.random.SeedSequence([master_seed, *coords]).generate_state(1)[0])
 
 
+def _check_in(name: str, value, low, high=None, integer: bool = False) -> None:
+    """check_number, then low <= value, and value <= high when high is given."""
+    check_number(name, value, integer=integer)
+    if value < low or (high is not None and value > high):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValidationError(f"{name} must be {bounds}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SweepGrid:
-    """Axes of a sweep; every cell is determined by (axes, master_seed)."""
+    """Sweep settings: the error-sweep axes plus the risk-curve and cba extras.
 
-    rates: tuple[float, ...]
-    profiles: tuple[DetectorProfile, ...]
+    Every error-sweep cell is determined by (axes, master_seed).  A value
+    that no sweep kind can use is rejected here; :meth:`for_error_sweep`
+    adds the rules that only the rate-error and accuracy-error sweeps need.
+    ``profiles`` None stands for the ``grid_step`` lattice.
+    """
+
+    rates: tuple[float, ...] = ()
+    profiles: tuple[DetectorProfile, ...] | None = None
+    grid_step: float | None = None
+    ba_floor: float = 0.5
     batch_sizes: tuple[int, ...] = (1,)
     trace_lengths: tuple[int, ...] = (100,)
     seeds_per_cell: int = 30
@@ -89,19 +106,90 @@ class SweepGrid:
     prior_rate: float = 0.5
     percentile: float = 1.0
     validation_batches: int = 1000
+    classifier_deltas: tuple[float, ...] = (0.0, 0.05, 0.1, 0.15, 0.2)
+    detector_deltas: tuple[float, ...] = (0.0, 0.05, 0.1, 0.15, 0.2)
+    operating_rate: float | None = None
+    risk_horizon: int = 4000
+    risk_trace_length: int = 500
 
     def __post_init__(self) -> None:
+        for name in ("horizon", "risk_horizon"):
+            check_number(name, getattr(self, name), integer=True)
+        _check_in("master_seed", self.master_seed, 0, integer=True)
+        for name in ("seeds_per_cell", "validation_batches", "risk_trace_length"):
+            _check_in(name, getattr(self, name), 1, integer=True)
+        for name in ("batch_sizes", "trace_lengths"):
+            for value in getattr(self, name):
+                _check_in(f"{name} entry", value, 1, integer=True)
+        for value in self.rates:
+            _check_in("rates entry", value, 0, 1)
+        for name in ("classifier_deltas", "detector_deltas"):
+            for value in getattr(self, name):
+                check_number(f"{name} entry", value)
+        check_number("ba_floor", self.ba_floor)
+        _check_in("prior_rate", self.prior_rate, 0, 1)
+        _check_in("percentile", self.percentile, 0, 100)
+        for name in ("grid_step", "mixture_fraction"):
+            if getattr(self, name) is not None:
+                check_number(name, getattr(self, name))
+        if self.operating_rate is not None:
+            _check_in("operating_rate", self.operating_rate, 0, 1)
+        if not isinstance(self.uniform, bool):
+            raise ValidationError(f"uniform must be true or false, got {self.uniform!r}")
+        if self.topology not in ("base", "rv"):
+            raise ValidationError(f"topology must be 'base' or 'rv', got {self.topology!r}")
+
+    def resolved_profiles(self) -> tuple[DetectorProfile, ...]:
+        if self.profiles is not None:
+            return self.profiles
+        if self.grid_step is not None:
+            return tuple(detector_grid(self.grid_step, self.ba_floor))
+        raise ValidationError("sweep needs either 'profiles' or 'grid_step'")
+
+    def for_error_sweep(self) -> "SweepGrid":
+        """This grid with its profiles resolved, once the error-sweep rules hold.
+
+        An error sweep needs at least one rate, at least one detector
+        profile, and a horizon longer than every trace length.
+        """
         if not self.rates:
             raise ValidationError("grid needs at least one rate")
-        if not self.profiles:
+        profiles = self.resolved_profiles()
+        if not profiles:
             raise ValidationError("grid needs at least one detector profile")
-        if self.seeds_per_cell < 1:
-            raise ValidationError("seeds_per_cell must be >= 1")
-        for rate in self.rates:
-            if not 0.0 <= rate <= 1.0:
-                raise ValidationError(f"rate {rate!r} outside [0, 1]")
         if any(w >= self.horizon for w in self.trace_lengths):
             raise ValidationError("horizon must exceed every trace length")
+        return self if profiles is self.profiles else replace(self, profiles=profiles)
+
+    def to_dict(self) -> dict:
+        payload = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            payload[f.name] = list(value) if isinstance(value, tuple) else value
+        if self.profiles is not None:
+            payload["profiles"] = [[p.tpr, p.tnr] for p in self.profiles]
+        return payload
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "SweepGrid":
+        check_fields("sweep", payload, cls)
+        kwargs = dict(payload)
+        for f in fields(cls):
+            # The list-valued keys are the fields with a tuple default.
+            if isinstance(f.default, tuple) and f.name in kwargs:
+                if not isinstance(kwargs[f.name], (list, tuple)):
+                    raise ValidationError(f"{f.name} must be a list, got {kwargs[f.name]!r}")
+                kwargs[f.name] = tuple(kwargs[f.name])
+        pairs = kwargs.get("profiles")
+        if pairs is not None:
+            if not isinstance(pairs, (list, tuple)) or not all(
+                isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in pairs
+            ):
+                raise ValidationError(
+                    f"profiles must be a list of [tpr, tnr] pairs, got {pairs!r}"
+                )
+            kwargs["profiles"] = tuple(DetectorProfile(tpr, tnr) for tpr, tnr in pairs)
+        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -213,6 +301,7 @@ def rate_error_sweep(grid: SweepGrid, jobs: int = 1) -> ErrorReport:
     detector fails the informativeness floor are recorded as refusals,
     never as zero-error results.
     """
+    grid = grid.for_error_sweep()
     cells = [
         (wi, pi, ri)
         for wi in range(len(grid.trace_lengths))
@@ -239,9 +328,11 @@ def batched_accuracy_table(
     the event-conditioned ones.
     """
     ind_eff = batch_correct_probability(oracle.ind_accuracy, batch_size, threshold)
-    ood_eff = sum(
-        fold.weight * batch_correct_probability(fold.accuracy, batch_size, threshold)
-        for fold in oracle.folds
+    ood_eff = sequential_sum(
+        [
+            fold.weight * batch_correct_probability(fold.accuracy, batch_size, threshold)
+            for fold in oracle.folds
+        ]
     )
     # Support 1 marks the cells as usable; these come from the oracle, not counting.
     table = ConditionalAccuracyTable(
@@ -340,6 +431,7 @@ def accuracy_error_sweep(grid: SweepGrid, oracle: AccuracyOracle, jobs: int = 1)
     correctness over the same suffix.  The constant-InD baseline error is
     reported alongside every cell.
     """
+    grid = grid.for_error_sweep()
     cells = [
         (bi, wi, pi, ri)
         for bi in range(len(grid.batch_sizes))
@@ -460,22 +552,18 @@ def risk_curve(
             ),
             oracle,
         )
-        traces = {}
-        for topology in ("rv", "base"):
-            # Re-seeding the detector identically gives both system
-            # configurations the exact same verdict sequence.
-            detector = SyntheticDetector(
-                profile, _cell_rng(master_seed, _RISK_CURVE_TAG, ri, 1)
-            )
-            traces[topology] = run_deployment(stream, detector, make_monitor(topology), 0.5)
-        start = traces["rv"].warmup_end()
+        detector = SyntheticDetector(profile, _cell_rng(master_seed, _RISK_CURVE_TAG, ri, 1))
+        rv = run_deployment(stream, detector, make_monitor("rv"), 0.5)
+        # The base system sees the same batches and verdicts; only the tree differs.
+        base = replace(rv, assessments=make_monitor("base").observe_many(rv.verdict))
+        start = rv.warmup_end()
         points.append(
             RiskCurvePoint(
                 rate=float(rate),
-                estimated_rv=traces["rv"].mean_expected_risk(start),
-                actual_rv=traces["rv"].realized_mean_cost(costs, True, start),
-                estimated_base=traces["base"].mean_expected_risk(start),
-                actual_base=traces["base"].realized_mean_cost(costs, False, start),
+                estimated_rv=rv.mean_expected_risk(start),
+                actual_rv=rv.realized_mean_cost(costs, True, start),
+                estimated_base=base.mean_expected_risk(start),
+                actual_base=base.realized_mean_cost(costs, False, start),
             )
         )
     rate_list = [p.rate for p in points]

@@ -172,14 +172,11 @@ def trace_columns(trace: DeploymentTrace) -> list[list]:
     ]
 
 
-def trace_rows(trace: DeploymentTrace) -> list[dict]:
-    """One row per batch."""
-    return [dict(zip(TRACE_COLUMNS, row)) for row in zip(*trace_columns(trace))]
-
-
 def write_trace_csv(path: str | Path, trace: DeploymentTrace) -> None:
-    """Export a deployment trace, one batch per row."""
-    write_rows_csv(path, trace_rows(trace), TRACE_COLUMNS)
+    """Export a deployment trace as csv, one batch per row."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        handle.write(",".join(TRACE_COLUMNS) + "\n")
+        handle.write(format_rows(TRACE_COLUMNS, trace_columns(trace), "csv"))
 
 
 ASSESSMENT_COLUMNS = (

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SnapshotError, ValidationError, check_number
+from .errors import SnapshotError, ValidationError, check_fields, check_number
 from .estimation import (
     DEFAULT_J_FLOOR,
     ConditionalAccuracyTable,
@@ -124,33 +124,10 @@ class MonitorConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "MonitorConfig":
-        known = {
-            "topology",
-            "profile",
-            "accuracies",
-            "trace_capacity",
-            "prior_rate",
-            "costs",
-            "min_fill",
-            "risk_threshold",
-            "decay",
-            "epsilon",
-            "intervention_counts_as",
-        }
-        unknown = set(payload) - known
-        if unknown:
-            raise ValidationError(f"unknown monitor config keys: {sorted(unknown)}")
-        for required in ("topology", "profile", "accuracies", "prior_rate"):
-            if required not in payload:
-                raise ValidationError(f"monitor config missing required key {required!r}")
-        profile = payload["profile"]
-        if not isinstance(profile, dict):
-            raise ValidationError(f"profile must be an object, got {profile!r}")
-        extra = set(profile) - {"tpr", "tnr"}
-        if extra:
-            raise ValidationError(f"unknown profile keys: {sorted(extra)}")
+        check_fields("monitor", payload, cls)
+        check_fields("monitor.profile", payload["profile"], DetectorProfile)
         kwargs = dict(payload)
-        kwargs["profile"] = DetectorProfile(tpr=profile.get("tpr"), tnr=profile.get("tnr"))
+        kwargs["profile"] = DetectorProfile(**payload["profile"])
         kwargs["accuracies"] = ConditionalAccuracyTable.from_dict(payload["accuracies"])
         return cls(**kwargs)
 

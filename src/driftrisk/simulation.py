@@ -32,6 +32,22 @@ from .event_tree import (
     UNNECESSARY_INTERVENTION,
 )
 
+
+def sequential_sum(values) -> float:
+    """The sum of floats added one at a time in order, from 0.0, as a loop does.
+
+    np.add.accumulate adds in sequence by definition, unlike np.sum and
+    np.dot (pairwise or SIMD) and the built-in sum() since Python 3.12
+    (compensated), so the result does not depend on the Python version.
+    Adding 0.0 at the end turns an all -0.0 total into 0.0, as starting
+    from 0.0 does.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
+        return 0.0
+    return float(np.add.accumulate(values)[-1]) + 0.0
+
+
 @dataclass(frozen=True)
 class StreamConfig:
     """Deployment-stream generation parameters."""
@@ -113,7 +129,7 @@ class AccuracyOracle:
     @property
     def ood_accuracy(self) -> float:
         """Weighted mean accuracy across folds."""
-        return sum(fold.accuracy * fold.weight for fold in self.folds)
+        return sequential_sum([fold.accuracy * fold.weight for fold in self.folds])
 
 
 @dataclass(frozen=True)
@@ -199,11 +215,11 @@ def batch_correct_probability(sample_accuracy: float, batch_size: int, threshold
     if k_min > batch_size:
         return 0.0
     a = sample_accuracy
-    return float(
-        sum(
+    return sequential_sum(
+        [
             math.comb(batch_size, k) * a**k * (1.0 - a) ** (batch_size - k)
             for k in range(k_min, batch_size + 1)
-        )
+        ]
     )
 
 
@@ -218,8 +234,8 @@ def _window(values, start: int):
 class DeploymentTrace:
     """A monitored deployment run, one array entry per batch.
 
-    The summaries add Python floats with built-in sum() or a loop, in batch
-    order, so they round exactly as a per-batch loop does.
+    The summaries add floats with sequential_sum, in batch order, so they
+    round exactly as a per-batch loop does.
     """
 
     is_ood: np.ndarray          # bool: majority-rule ground truth
@@ -247,16 +263,13 @@ class DeploymentTrace:
 
     def mean_expected_accuracy(self, start: int = 0) -> float:
         window = _window(self.assessments.expected_accuracy, start)
-        return sum(window.tolist()) / len(window)
+        return sequential_sum(window) / len(window)
 
     def mean_expected_risk(self, start: int = 0) -> float:
         if self.assessments.expected_risk is None:
             raise ConfigurationError("trace carries no risk estimates")
         window = _window(self.assessments.expected_risk, start)
-        total = 0.0
-        for risk in window.tolist():
-            total += risk
-        return total / len(window)
+        return sequential_sum(window) / len(window)
 
     def realized_mean_cost(
         self, costs: CostModel, with_interventions: bool, start: int = 0

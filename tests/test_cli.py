@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -386,6 +387,20 @@ BAD_FIELD_VALUES = [
     ),
     ("sweep", "operating_rate", "0.9", "operating_rate must be a number"),
     ("sweep", "horizon", 2.5, "horizon must be an integer"),
+    # Sweep values that no sweep kind can run: every kind stops at load.
+    ("sweep", "trace_lengths", [0], "trace_lengths entry must be >= 1, got 0"),
+    ("sweep", "trace_lengths", [-3], "trace_lengths entry must be >= 1, got -3"),
+    ("sweep", "batch_sizes", [0], "batch_sizes entry must be >= 1, got 0"),
+    ("sweep", "seeds_per_cell", 0, "seeds_per_cell must be >= 1, got 0"),
+    ("sweep", "validation_batches", 0, "validation_batches must be >= 1, got 0"),
+    ("sweep", "risk_trace_length", 0, "risk_trace_length must be >= 1, got 0"),
+    ("sweep", "percentile", 101, "percentile must be in [0, 100], got 101"),
+    ("sweep", "prior_rate", 1.5, "prior_rate must be in [0, 1], got 1.5"),
+    ("sweep", "operating_rate", -0.1, "operating_rate must be in [0, 1], got -0.1"),
+    ("sweep", "rates", [1.5], "rates entry must be in [0, 1], got 1.5"),
+    ("sweep", "rates", None, "rates must be a list, got None"),
+    ("sweep", "topology", "tree", "topology must be 'base' or 'rv', got 'tree'"),
+    ("sweep", "master_seed", -1, "master_seed must be >= 0, got -1"),
 ]
 
 
@@ -498,6 +513,50 @@ class TestSweepCommand:
         assert (out_serial / "report.csv").read_bytes() == (
             out_parallel / "report.csv"
         ).read_bytes()
+
+    @pytest.mark.parametrize(
+        "kind,change,message",
+        [
+            ("rate-error", {"profiles": None}, "sweep needs either 'profiles' or 'grid_step'"),
+            ("accuracy-error", {"rates": []}, "grid needs at least one rate"),
+            ("rate-error", {"profiles": []}, "grid needs at least one detector profile"),
+            ("accuracy-error", {"horizon": 50}, "horizon must exceed every trace length"),
+        ],
+    )
+    def test_error_sweep_rules_exit_usage(self, tmp_path, capsys, kind, change, message):
+        payload = case_study_config_dict()
+        payload["sweep"].update(change)
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(payload))
+        out = tmp_path / "sweep"
+        assert main(["sweep", kind, "--config", str(config), "--output", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith(f"driftrisk: config error: {message}")
+        assert not out.exists()
+        # The other sweep kinds do not need these rules.
+        assert main(["sweep", "cba", "--config", str(config), "--output", str(out)]) == EXIT_OK
+
+    def test_negative_seed_flag_exits_usage(self, tmp_path, capsys, config_path):
+        out = tmp_path / "sweep"
+        argv = ["sweep", "risk-curve", "--config", config_path, "--output", str(out)]
+        assert main([*argv, "--seed", "-1"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(
+            "driftrisk: config error: master_seed must be >= 0"
+        )
+        assert not out.exists()
+
+    def test_uninformative_profile_is_a_refused_cell(self, tmp_path):
+        payload = case_study_config_dict()
+        payload["sweep"]["profiles"] = [[0.9, 0.8], [0.5, 0.52]]
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(payload))
+        out = tmp_path / "sweep"
+        assert main(["sweep", "rate-error", "--config", str(config), "--output", str(out)]) == EXIT_OK
+        with open(out / "report.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [row["refused"] for row in rows if row["tnr"] == "0.52"] == ["1"] * 3
+        assert {row["refused"] for row in rows if row["tnr"] == "0.8"} == {"0"}
 
     def test_cba_requires_operating_rate(self, tmp_path):
         payload = case_study_config_dict()

@@ -3,17 +3,18 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields, replace
 
 import pytest
 
 from driftrisk.config import (
     RunConfig,
-    SweepSection,
     dump_run_config,
     load_run_config,
     parse_run_config,
 )
 from driftrisk.errors import ValidationError
+from driftrisk.experiments import SweepGrid
 
 from conftest import case_study_config_dict
 
@@ -95,10 +96,9 @@ class TestRoundTrip:
         assert parse_run_config(config.to_dict()) == config
 
 
-class TestSweepSection:
+class TestSweepGrid:
     def test_grid_step_expands_profiles(self):
-        section = SweepSection(rates=(0.5,), grid_step=0.5, ba_floor=0.5)
-        grid = section.to_grid()
+        grid = SweepGrid(rates=(0.5,), grid_step=0.5, ba_floor=0.5).for_error_sweep()
         assert {(p.tpr, p.tnr) for p in grid.profiles} == {
             (0.5, 1.0),
             (1.0, 0.5),
@@ -107,17 +107,25 @@ class TestSweepSection:
 
     def test_profiles_take_precedence(self):
         config = parse_run_config(case_study_config_dict())
-        grid = config.sweep.to_grid()
+        grid = config.sweep.for_error_sweep()
         assert [(p.tpr, p.tnr) for p in grid.profiles] == [(0.9, 0.8)]
 
     def test_needs_profiles_or_step(self):
         with pytest.raises(ValidationError, match="profiles"):
-            SweepSection(rates=(0.5,)).to_grid()
+            SweepGrid(rates=(0.5,)).for_error_sweep()
 
     def test_master_seed_override(self):
         config = parse_run_config(case_study_config_dict())
-        assert config.sweep.to_grid(master_seed=99).master_seed == 99
-        assert config.sweep.to_grid().master_seed == 5
+        assert config.sweep.master_seed == 5
+        assert replace(config.sweep, master_seed=99).master_seed == 99
+        with pytest.raises(ValidationError, match="master_seed"):
+            replace(config.sweep, master_seed=-1)
+
+    def test_keys_and_dict_come_from_the_fields(self):
+        grid = SweepGrid()
+        payload = grid.to_dict()
+        assert set(payload) == {f.name for f in fields(SweepGrid)}
+        assert SweepGrid.from_dict(payload) == grid
 
 
 class TestRunConfigRequire:

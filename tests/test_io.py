@@ -15,13 +15,14 @@ from driftrisk.errors import CalibrationError, ValidationError
 from driftrisk.estimation import DetectorProfile
 from driftrisk.io import (
     ASSESSMENT_COLUMNS,
+    TRACE_COLUMNS,
     emit_assessment,
     fmt,
     format_rows,
     iter_verdict_chunks,
     iter_verdicts,
     read_labeled_records,
-    trace_rows,
+    trace_columns,
     write_rows_csv,
     write_trace_csv,
 )
@@ -168,9 +169,7 @@ class TestTraceExport:
 
     def test_structured_rows_are_json_bools(self, tmp_path, trace):
         path = tmp_path / "trace.jsonl"
-        with open(path, "w") as handle:
-            for row in trace_rows(trace):
-                emit_assessment(handle, row, "structured")
+        path.write_text(format_rows(TRACE_COLUMNS, trace_columns(trace), "structured"))
         records = [json.loads(line) for line in path.read_text().splitlines()]
         assert [r["verdict"] for r in records] == trace.verdict.tolist()
         assert all(type(r["is_ood"]) is bool for r in records)

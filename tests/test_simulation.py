@@ -22,6 +22,7 @@ from driftrisk.simulation import (
     generate_stream,
     ind_percentile_threshold,
     run_deployment,
+    sequential_sum,
 )
 
 from conftest import make_full_table
@@ -29,6 +30,32 @@ from conftest import make_full_table
 
 def simple_oracle(ind=0.9, ood=0.33) -> AccuracyOracle:
     return AccuracyOracle.single(ind, ood)
+
+
+class TestSequentialSum:
+    @staticmethod
+    def loop(values) -> float:
+        total = 0.0
+        for value in values:
+            total += value
+        return total
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.lists(st.floats(min_value=-1e300, max_value=1e300), max_size=200))
+    def test_equals_a_python_loop(self, values):
+        result = sequential_sum(values)
+        assert result == self.loop(values)
+        assert math.copysign(1.0, result) == math.copysign(1.0, self.loop(values))
+        assert sequential_sum(np.array(values)) == result
+
+    def test_rounds_as_a_loop_not_compensated(self):
+        # A compensated sum gives 2.0 here; adding in order loses both 1.0s.
+        values = [1.0, 1e100, 1.0, -1e100]
+        assert sequential_sum(values) == self.loop(values) == 0.0
+
+    def test_empty_and_negative_zero(self):
+        assert sequential_sum([]) == 0.0
+        assert math.copysign(1.0, sequential_sum([-0.0, -0.0])) == 1.0
 
 
 class TestStreamConfig:
