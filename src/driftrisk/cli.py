@@ -100,7 +100,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _require(config, "stream", "oracle", "monitor")
     stream_config = config.stream.config
     if args.seed is not None:
-        stream_config = replace(stream_config, seed=args.seed)
+        try:
+            stream_config = replace(stream_config, seed=args.seed)
+        except ValidationError as exc:
+            raise _CliError(EXIT_USAGE, f"config error: {exc}") from exc
     stream = generate_stream(stream_config, config.oracle)
     detector = SyntheticDetector(
         config.monitor.profile, derive_seed(stream_config.seed, _SIM_DETECTOR_TAG)
@@ -405,6 +408,14 @@ def main(argv: list[str] | None = None) -> int:
     except DriftRiskError as exc:
         print(f"driftrisk: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except BrokenPipeError:
+        # The reader of stdout stopped early, as `driftrisk monitor | head -1`
+        # does: not an error.  Point stdout at the null device, so that the
+        # flush at interpreter exit has somewhere to write the rest.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except OSError as exc:
         print(f"driftrisk: {exc}", file=sys.stderr)
         return EXIT_USAGE

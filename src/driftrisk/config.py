@@ -42,14 +42,17 @@ class StreamSection:
 
 def oracle_from_dict(payload: dict) -> AccuracyOracle:
     check_fields("oracle", payload, AccuracyOracle)
+    entries = payload["folds"]
+    if not isinstance(entries, list):
+        raise ValidationError(f"oracle.folds must be a list, got {entries!r}")
     folds = []
-    for i, fold in enumerate(payload["folds"]):
+    for i, fold in enumerate(entries):
         check_keys(f"oracle.folds[{i}]", fold, {f.name for f in fields(OodFold)}, {"accuracy"})
         folds.append(
             OodFold(
                 name=fold.get("name", f"fold{i}"),
                 accuracy=fold["accuracy"],
-                weight=fold.get("weight", 1.0 / len(payload["folds"])),
+                weight=fold.get("weight", 1.0 / len(entries)),
             )
         )
     return AccuracyOracle(ind_accuracy=payload["ind_accuracy"], folds=tuple(folds))

@@ -13,9 +13,10 @@ and model-accuracy tables conditioned on (event, verdict) partitions.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import (
     CalibrationError,
@@ -62,34 +63,61 @@ class DetectorProfile:
 class VerdictTrace:
     """Bounded FIFO window of boolean detector verdicts.
 
-    Pushing at capacity evicts exactly the oldest verdict.
+    Pushing at capacity evicts exactly the oldest verdict.  The bits live
+    in a numpy ring of ``2 * capacity`` bools, written from the back
+    towards the front, so the window read newest first is always the
+    one contiguous slice :meth:`newest_first`.  When a push reaches the
+    front, the newest ``capacity - 1`` bits are copied to the back: one
+    copy per ``capacity`` pushes, and nothing is allocated per push.
     """
 
     def __init__(self, capacity: int, verdicts: Iterable[bool] = ()) -> None:
         if capacity < 1:
             raise ValidationError(f"trace capacity must be >= 1, got {capacity!r}")
         self.capacity = int(capacity)
-        self._window: deque[bool] = deque(maxlen=self.capacity)
+        self._ring = np.zeros(2 * self.capacity, dtype=bool)
+        self._head = 2 * self.capacity  # the window is _ring[_head:_head + _fill]
+        self._fill = 0
         self._positives = 0  # kept in sync for O(1) means over long windows
         self.extend(verdicts)
 
     def push(self, verdict: bool) -> "VerdictTrace":
         verdict = bool(verdict)
-        if len(self._window) == self.capacity:
-            self._positives -= self._window[0]
+        ring, capacity = self._ring, self.capacity
+        if self._fill == capacity:
+            self._positives -= int(ring[self._head + capacity - 1])
+        else:
+            self._fill += 1
+        if self._head == 0:
+            ring[capacity + 1 :] = ring[: capacity - 1]
+            self._head = capacity + 1
+        self._head -= 1
+        ring[self._head] = verdict
         self._positives += verdict
-        self._window.append(verdict)
         return self
 
-    def extend(self, verdicts: Iterable[bool]) -> "VerdictTrace":
-        """Push every verdict in order, in one pass over the window."""
-        self._window.extend(map(bool, verdicts))
-        self._positives = sum(self._window)
+    def extend(self, verdicts: Iterable[bool] | np.ndarray) -> "VerdictTrace":
+        """Push every verdict in order; a numpy array is written with one slice."""
+        if isinstance(verdicts, np.ndarray):
+            new = verdicts.astype(bool, copy=False)
+        else:
+            new = np.fromiter(map(bool, verdicts), dtype=bool)
+        capacity = self.capacity
+        new = new[-capacity:]
+        keep = min(self._fill, capacity - len(new))
+        if self._head < len(new):
+            # No room in front of the bits that stay: move them to the back.
+            self._ring[2 * capacity - keep :] = self._ring[self._head : self._head + keep]
+            self._head = 2 * capacity - keep
+        self._head -= len(new)
+        self._ring[self._head : self._head + len(new)] = new[::-1]
+        self._fill = keep + len(new)
+        self._positives = int(np.count_nonzero(self.newest_first()))
         return self
 
     @property
     def fill(self) -> int:
-        return len(self._window)
+        return self._fill
 
     @property
     def positives(self) -> int:
@@ -97,11 +125,15 @@ class VerdictTrace:
 
     @property
     def fill_fraction(self) -> float:
-        return self.fill / self.capacity
+        return self._fill / self.capacity
+
+    def newest_first(self) -> np.ndarray:
+        """Window contents, newest first: a view of the ring, not to be written."""
+        return self._ring[self._head : self._head + self._fill]
 
     def to_list(self) -> list[bool]:
         """Window contents, oldest first."""
-        return list(self._window)
+        return self.newest_first()[::-1].tolist()
 
     def __len__(self) -> int:
         return self.fill
@@ -132,12 +164,35 @@ def weighted_mean(trace: VerdictTrace, decay: float) -> float:
     numerator = 0.0
     denominator = 0.0
     weight = 1.0
-    for verdict in reversed(trace.to_list()):
+    for verdict in trace.newest_first().tolist():
         if verdict:
             numerator += weight
         denominator += weight
         weight *= decay
     return numerator / denominator
+
+
+def decay_tables(decay: float, capacity: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weights by age and denominators by fill, from weighted_mean's loop.
+
+    ``weights[a]`` is the weight of age a and ``denominators[k]`` the
+    denominator of a window of k + 1 verdicts, each rounded as that loop
+    rounds it.  The loop's numerator is the sequential sum of
+    ``weights[:fill] * newest_first``, which ``np.add.accumulate`` repeats
+    bit for bit: it adds in order by definition, and adding 0.0 for a
+    negative verdict changes nothing.  ``np.sum`` and ``np.dot`` add
+    pairwise or with SIMD and round differently.
+    """
+    weights = []
+    denominators = []
+    weight = 1.0
+    denominator = 0.0
+    for _ in range(capacity):
+        denominator += weight
+        weights.append(weight)
+        denominators.append(denominator)
+        weight *= decay
+    return np.array(weights), np.array(denominators)
 
 
 def forward_bias(p_true: float, profile: DetectorProfile) -> float:

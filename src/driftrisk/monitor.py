@@ -8,7 +8,12 @@ accuracy, optional expected risk, and a threshold alert.  The tree is
 built and compiled into a leaf table once, when the monitor is created;
 only its two rate-dependent root edges change from verdict to verdict.
 The Rogan-Gladen constants ``1 - TNR`` and ``J`` are fixed at creation
-too, after the informativeness check.
+too, after the informativeness check.  With decay below 1, so are the
+decayed mean's two tables (``estimation.decay_tables``): the weight of
+each age and the denominator of each fill.  ``observe`` then takes the
+window newest first as one slice of the trace's ring and adds up its
+weights with one sequential ``np.add.accumulate``, which rounds exactly as
+the ``weighted_mean`` loop does; ``observe_many`` reads the same tables.
 
 Two entry points share that arithmetic.  :meth:`Monitor.observe` takes one
 verdict and returns an :class:`Assessment`; it serves a live pipe, one
@@ -36,13 +41,14 @@ from .estimation import (
     DetectorProfile,
     RateEstimate,
     VerdictTrace,
+    decay_tables,
     require_informative,
     rogan_gladen,  # noqa: F401
-    weighted_mean,
+    weighted_mean,  # noqa: F401
 )
-# rogan_gladen, expected_accuracy and expected_risk are not called here;
-# they stay bound in this module because perfbench/spans.py wraps the
-# monitor's estimation and tree calls by these names.
+# rogan_gladen, weighted_mean, expected_accuracy and expected_risk are not
+# called here; they stay bound in this module because perfbench/spans.py
+# wraps the monitor's estimation and tree calls by these names.
 from .event_tree import (  # noqa: F401
     INTERVENTION_MODES,
     TreeParams,
@@ -189,6 +195,13 @@ class Monitor:
         self._false_positive_rate = 1.0 - config.profile.tnr
         self._informativeness = config.profile.informativeness
         self.trace = VerdictTrace(config.trace_capacity, _window or ())
+        # The decayed mean's weight and denominator tables, for observe and
+        # observe_many alike; with decay 1 the mean is positives / fill.
+        self._weights = self._denominators = None
+        if config.decay < 1.0:
+            self._weights, self._denominators = decay_tables(
+                config.decay, config.trace_capacity
+            )
         # Build once at the prior rate, so mis-configured accuracies and
         # unpriced reachable leaves surface at construction time, and
         # compile: every later rate reuses the same leaf table.
@@ -207,8 +220,14 @@ class Monitor:
         config = self.config
         trace = self.trace
         trace.push(verdict)
-        raw = weighted_mean(trace, config.decay)
-        using_prior = trace.fill < config.effective_min_fill
+        fill = trace.fill
+        if self._weights is None:
+            raw = trace.positives / fill
+        else:
+            # weighted_mean, as decay_tables explains.
+            numerators = np.add.accumulate(self._weights[:fill] * trace.newest_first())
+            raw = float(numerators[-1] / self._denominators[fill - 1])
+        using_prior = fill < config.effective_min_fill
         if using_prior:
             pre_clamp = corrected = float(config.prior_rate)
         else:
@@ -248,11 +267,11 @@ class Monitor:
         capacity = config.trace_capacity
         # The restored window, oldest first, then the new verdicts: verdict
         # i sits at seq[start + i] and its window is seq[end[i] - fill[i]:end[i]].
-        seq = np.concatenate([np.array(self.trace.to_list(), dtype=bool), new])
+        seq = np.concatenate([self.trace.newest_first()[::-1], new])
         start = len(seq) - len(new)
         end = np.arange(start + 1, len(seq) + 1)
         fill = np.minimum(end, capacity)
-        if config.decay == 1.0:
+        if self._weights is None:
             # Exact integer counts; one correctly rounded division each,
             # as in positives / fill.
             counts = np.concatenate(([0], np.cumsum(seq, dtype=np.int64)))
@@ -271,7 +290,7 @@ class Monitor:
             alert = risk > config.risk_threshold
         else:
             alert = np.zeros(len(new), dtype=bool)
-        self.trace.extend(new[-capacity:].tolist())
+        self.trace.extend(new)
         return Assessments(
             raw_mean=raw,
             corrected=corrected,
@@ -287,30 +306,20 @@ class Monitor:
     def _decayed_means(self, seq: np.ndarray, start: int, fill: np.ndarray) -> np.ndarray:
         """weighted_mean for every verdict from seq[start] on, in its order.
 
-        weighted_mean adds the weight decay**age of each positive verdict,
-        newest first, and the weights of all verdicts for the denominator.
-        The denominator depends only on the fill, so it comes from the same
-        scalar loop.  Numerators are built age by age, one vector add per
-        age, which keeps that newest-to-oldest order for every verdict.
+        weighted_mean adds the weight of each positive verdict, newest
+        first; the denominator depends only on the fill.  Both come from the
+        monitor's tables.  Numerators are built age by age, one vector add
+        per age, which keeps that newest-to-oldest order for every verdict.
         """
-        decay = self.config.decay
-        weights = []
-        denominators = []
-        weight = 1.0
-        denominator = 0.0
-        for _ in range(min(self.config.trace_capacity, len(seq))):
-            denominator += weight
-            weights.append(weight)
-            denominators.append(denominator)
-            weight *= decay
+        values = seq.astype(float)  # one cast, not one per age
         numerators = np.zeros(len(seq) - start)
-        for age, weight in enumerate(weights):
+        for age, weight in enumerate(self._weights[: len(seq)].tolist()):
             # New verdict i has an age-`age` neighbour, seq[start + i - age],
             # once start + i >= age.  A negative neighbour adds 0.0, which
             # leaves the sum exactly as skipping it does.
             first = max(0, age - start)
-            numerators[first:] += seq[start + first - age : len(seq) - age] * weight
-        return numerators / np.array(denominators)[fill - 1]
+            numerators[first:] += values[start + first - age : len(seq) - age] * weight
+        return numerators / self._denominators[fill - 1]
 
     def snapshot(self) -> str:
         """Serialize full monitor state to a versioned JSON envelope."""

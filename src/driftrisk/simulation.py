@@ -73,6 +73,8 @@ class StreamConfig:
             raise ValidationError(f"shift_rate must be in [0, 1], got {self.shift_rate!r}")
         if self.horizon < 1:
             raise ValidationError(f"horizon must be >= 1, got {self.horizon!r}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed!r}")
         if self.mixture_fraction is not None and not 0.0 <= self.mixture_fraction <= 1.0:
             raise ValidationError(
                 f"mixture_fraction must be in [0, 1], got {self.mixture_fraction!r}"

@@ -7,8 +7,11 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -43,6 +46,21 @@ def write_verdicts(tmp_path, bits, name="verdicts.txt") -> str:
     path = tmp_path / name
     path.write_text("".join(f"{int(b)}\n" for b in bits))
     return str(path)
+
+
+def child_env(**extra) -> dict:
+    """The environment of a ``python -m driftrisk`` child in any working directory.
+
+    A relative PYTHONPATH (such as the "src" of an uninstalled checkout)
+    points at nothing from another directory, so the directory that holds
+    the imported package goes first, as an absolute path, with the
+    parent's entries after it.
+    """
+    import driftrisk
+
+    package_root = str(Path(driftrisk.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": pythonpath, **extra}
 
 
 class TestSimulate:
@@ -82,6 +100,13 @@ class TestSimulate:
         path.write_text(json.dumps(payload))
         out = tmp_path / "trace.csv"
         assert main(["simulate", "--config", str(path), "--output", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+
+    def test_negative_seed_flag_exits_usage(self, tmp_path, config_path, capsys):
+        out = tmp_path / "trace.csv"
+        code = main(["simulate", "--config", config_path, "--output", str(out), "--seed", "-1"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "driftrisk: config error: seed must be >= 0, got -1\n"
         assert not out.exists()
 
     def test_missing_config_file(self, tmp_path):
@@ -368,6 +393,10 @@ BAD_FIELD_VALUES = [
     ("stream", "shift_rate", "0.3", "shift_rate must be a number"),
     ("stream", "batch_size", 1.5, "batch_size must be an integer"),
     ("stream", "horizon", True, "horizon must be an integer"),
+    ("stream", "seed", -4, "seed must be >= 0, got -4"),
+    ("oracle", "folds", 5, "oracle.folds must be a list, got 5"),
+    ("oracle", "folds", {"accuracy": 0.5}, "oracle.folds must be a list, got {'accuracy': 0.5}"),
+    ("oracle", "folds", [], "oracle needs at least one OOD fold"),
     ("monitor", "risk_threshold", "high", "risk_threshold must be a number"),
     ("monitor", "decay", "0.9", "decay must be a number"),
     ("monitor", "prior_rate", "0.3", "prior_rate must be a number"),
@@ -418,7 +447,7 @@ class TestTypedConfigValidation:
         config = tmp_path / "c.json"
         config.write_text(json.dumps(payload))
         out = tmp_path / "out.csv"
-        if section == "stream":
+        if section in ("stream", "oracle"):
             argv = ["simulate", "--config", str(config), "--output", str(out)]
         elif section == "sweep":
             argv = ["sweep", "cba", "--config", str(config), "--output", str(out)]
@@ -631,34 +660,20 @@ class TestSubprocessDeterminism:
         # so this catches any accidental dependence on set or str-hash order.
         # Each run gets its own explicit PYTHONHASHSEED, so a seed pinned in
         # the parent's environment cannot make the two runs share one.
-        import os
-        import subprocess
-        import sys as _sys
-        from pathlib import Path
-
-        import driftrisk
-
-        # The children run with cwd=tmp_path, where a relative PYTHONPATH
-        # (such as the "src" of an uninstalled checkout) points at nothing.
-        # Put the directory that holds the imported package first, as an
-        # absolute path, and keep the parent's entries after it.
-        package_root = str(Path(driftrisk.__file__).resolve().parent.parent)
-        pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-
         payload = case_study_config_dict()
         payload["stream"]["horizon"] = 150
         config = tmp_path / "c.json"
         config.write_text(json.dumps(payload))
         outputs = []
         for tag, hash_seed in (("a", "1"), ("b", "2")):
-            env = {**os.environ, "PYTHONPATH": pythonpath, "PYTHONHASHSEED": hash_seed}
+            env = child_env(PYTHONHASHSEED=hash_seed)
             out = tmp_path / f"trace-{tag}.csv"
             sweep_dir = tmp_path / f"cba-{tag}"
             for argv in (
                 ["simulate", "--config", str(config), "--output", str(out)],
                 ["sweep", "cba", "--config", str(config), "--output", str(sweep_dir)],
             ):
-                command = [_sys.executable, "-m", "driftrisk", *argv]
+                command = [sys.executable, "-m", "driftrisk", *argv]
                 result = subprocess.run(
                     command,
                     capture_output=True,
@@ -666,7 +681,7 @@ class TestSubprocessDeterminism:
                     env=env,
                 )
                 assert result.returncode == 0, (
-                    f"argv: {command}\nPYTHONPATH: {pythonpath}\n"
+                    f"argv: {command}\nPYTHONPATH: {env['PYTHONPATH']}\n"
                     f"PYTHONHASHSEED: {hash_seed}\nstderr: {result.stderr.decode()}"
                 )
             outputs.append(
@@ -675,6 +690,47 @@ class TestSubprocessDeterminism:
                 + (sweep_dir / "metadata.json").read_bytes()
             )
         assert outputs[0] == outputs[1]
+
+
+class TestReaderClosesStdout:
+    """``driftrisk monitor ... | head -1``: the reader leaves after one line."""
+
+    @pytest.mark.parametrize("source", ["file", "pipe"])
+    def test_exits_ok_with_nothing_on_stderr(self, tmp_path, config_path, source):
+        # 20k rows are far more than a pipe buffer holds, so the monitor
+        # is still writing when the reader goes.
+        verdicts = write_verdicts(tmp_path, np.random.default_rng(3).random(20_000) < 0.6)
+        argv = [sys.executable, "-m", "driftrisk", "monitor", "--config", config_path]
+        if source == "file":
+            argv += ["--input", verdicts]
+        child = subprocess.Popen(
+            argv,
+            stdin=subprocess.PIPE if source == "pipe" else subprocess.DEVNULL,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=child_env(),
+        )
+        feeder = None
+        if source == "pipe":
+
+            def feed():
+                # The child stops reading once it is done, so the rest of
+                # the input may meet a closed pipe too.
+                with contextlib.suppress(BrokenPipeError):
+                    child.stdin.write(Path(verdicts).read_bytes())
+                with contextlib.suppress(BrokenPipeError):
+                    child.stdin.close()
+
+            feeder = threading.Thread(target=feed)
+            feeder.start()
+        assert child.stdout.readline().startswith(b"index,verdict,")
+        child.stdout.close()
+        stderr = child.stderr.read()
+        code = child.wait(timeout=60)
+        if feeder is not None:
+            feeder.join(timeout=60)
+        child.stderr.close()
+        assert (code, stderr) == (EXIT_OK, b"")
 
 
 class TestOutputDiscipline:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -61,6 +63,34 @@ class TestVerdictTrace:
     def test_capacity_validation(self):
         with pytest.raises(ValidationError):
             VerdictTrace(0)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(data=st.data())
+    def test_ring_equals_deque_model(self, data):
+        # At least 6 * capacity operations, each adding one verdict or up to
+        # 2 * capacity + 2 of them: the ring of 2 * capacity slots is
+        # refilled and wrapped many times in every example.
+        capacity = data.draw(st.one_of(st.sampled_from([1, 2]), st.integers(1, 16)))
+        verdict_lists = st.lists(st.booleans(), max_size=2 * capacity + 2)
+        operation = st.one_of(
+            st.tuples(st.just("push"), st.booleans()),
+            st.tuples(st.sampled_from(["list", "array"]), verdict_lists),
+        )
+        initial = data.draw(verdict_lists)
+        trace = VerdictTrace(capacity, initial)
+        model = deque(initial, maxlen=capacity)
+        operations = st.lists(operation, min_size=6 * capacity, max_size=6 * capacity + 20)
+        for kind, value in data.draw(operations):
+            if kind == "push":
+                trace.push(value)
+                model.append(value)
+            else:
+                trace.extend(value if kind == "list" else np.array(value, dtype=bool))
+                model.extend(value)
+            assert trace.to_list() == list(model)
+            assert trace.newest_first().tolist() == list(reversed(model))
+            assert trace.fill == len(model)
+            assert trace.positives == sum(model)
 
 
 class TestEmpiricalMean:

@@ -6,9 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from driftrisk.errors import ConfigurationError, SnapshotError, UninformativeDetectorError
-from driftrisk.estimation import DetectorProfile
+from driftrisk.estimation import DetectorProfile, weighted_mean
 from driftrisk.event_tree import TreeParams, build_tree, expected_accuracy, expected_risk
 from driftrisk.detectors import SyntheticDetector
 from driftrisk.monitor import Monitor, MonitorConfig
@@ -131,6 +133,31 @@ class TestObserve:
     def test_uninformative_profile_fails_fast(self):
         with pytest.raises(UninformativeDetectorError):
             Monitor(config(profile=DetectorProfile(0.5, 0.5)))
+
+
+class TestDecayedMean:
+    """observe's table-driven mean against the weighted_mean loop, with ==."""
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        # 0.01 and 0.05 make the oldest weights of a 500-verdict window
+        # underflow to subnormals and then to 0.0.
+        decay=st.one_of(st.sampled_from([0.01, 0.05, 0.5, 0.98, 1.0]), st.floats(0.001, 1.0)),
+        capacity=st.one_of(st.sampled_from([1, 2, 500]), st.integers(1, 80)),
+        restored=st.floats(0.0, 1.0),
+        count=st.integers(1, 120),
+        rate=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(decay=0.01, capacity=500, restored=1.0, count=120, rate=0.6, seed=0)
+    def test_equals_weighted_mean(self, decay, capacity, restored, count, rate, seed):
+        rng = np.random.default_rng(seed)
+        window = (rng.random(int(restored * capacity)) < rate).tolist()
+        monitor = Monitor(config(capacity=capacity, min_fill=1, decay=decay), _window=window)
+        for verdict in (rng.random(count) < rate).tolist():
+            raw = monitor.observe(verdict).p_event.raw_mean
+            assert type(raw) is float
+            assert raw == weighted_mean(monitor.trace, decay)
 
 
 def reference_values(p_event, costs=CASE_STUDY_COSTS, mode="correct", tpr=0.9, tnr=0.9):
