@@ -52,6 +52,9 @@ _ACCURACY_SWEEP_TAG = 202
 _RISK_CURVE_TAG = 303
 _VALIDATION_TAG = 404
 
+# Verdicts per block of a rate-error cell: 2**16 draws are 512 KB of doubles.
+RATE_BLOCK_VERDICTS = 2**16
+
 
 def mae(truth: Sequence[float], estimate: Sequence[float]) -> float:
     """Mean absolute error between two equal-length sequences."""
@@ -64,13 +67,18 @@ def mae(truth: Sequence[float], estimate: Sequence[float]) -> float:
     return float(np.mean(np.abs(t - e)))
 
 
+def _seed_sequence(master_seed: int, *coords: int) -> np.random.SeedSequence:
+    """The one seed derivation: entropy (master seed, coordinates...)."""
+    return np.random.SeedSequence([master_seed, *coords])
+
+
 def _cell_rng(master_seed: int, *coords: int) -> np.random.Generator:
-    return np.random.default_rng([master_seed, *coords])
+    return np.random.default_rng(_seed_sequence(master_seed, *coords))
 
 
 def derive_seed(master_seed: int, *coords: int) -> int:
     """Collapse cell coordinates into a single reproducible integer seed."""
-    return int(np.random.SeedSequence([master_seed, *coords]).generate_state(1)[0])
+    return int(_seed_sequence(master_seed, *coords).generate_state(1)[0])
 
 
 def _check_in(name: str, value, low, high=None, integer: bool = False) -> None:
@@ -125,15 +133,15 @@ class SweepGrid:
             _check_in("rates entry", value, 0, 1)
         for name in ("classifier_deltas", "detector_deltas"):
             for value in getattr(self, name):
-                check_number(f"{name} entry", value)
+                _check_in(f"{name} entry", value, 0, 1)
         check_number("ba_floor", self.ba_floor)
         _check_in("prior_rate", self.prior_rate, 0, 1)
         _check_in("percentile", self.percentile, 0, 100)
-        for name in ("grid_step", "mixture_fraction"):
+        if self.grid_step is not None:
+            check_number("grid_step", self.grid_step)
+        for name in ("mixture_fraction", "operating_rate"):
             if getattr(self, name) is not None:
-                check_number(name, getattr(self, name))
-        if self.operating_rate is not None:
-            _check_in("operating_rate", self.operating_rate, 0, 1)
+                _check_in(name, getattr(self, name), 0, 1)
         if not isinstance(self.uniform, bool):
             raise ValidationError(f"uniform must be true or false, got {self.uniform!r}")
         if self.topology not in ("base", "rv"):
@@ -260,7 +268,17 @@ def _run_cells(cells, evaluate, jobs: int):
 
 
 def rate_error_cell(grid: SweepGrid, coords: tuple[int, int, int]) -> CellResult:
-    """One (trace length, profile, rate) cell of the rate-error sweep."""
+    """One (trace length, profile, rate) cell of the rate-error sweep.
+
+    The seeds are drawn and judged in blocks of at most
+    RATE_BLOCK_VERDICTS verdicts (one row per seed, at least one row per
+    block), and only each row's positive count is kept.  Each generator
+    is consumed in order, so the blocks draw the same values as one
+    ``(seeds, window)`` draw, and a mean of 0/1 values is its exact count
+    divided by the window, so the means equal ``verdicts.mean(axis=1)``
+    bit for bit.  A block's draws fit in cache where the whole cell's did
+    not.
+    """
     wi, pi, ri = coords
     window = grid.trace_lengths[wi]
     profile = grid.profiles[pi]
@@ -278,9 +296,14 @@ def rate_error_cell(grid: SweepGrid, coords: tuple[int, int, int]) -> CellResult
     detector = SyntheticDetector(
         profile, _cell_rng(grid.master_seed, _RATE_SWEEP_TAG, wi, pi, ri, 1)
     )
-    flags = gt_rng.random((grid.seeds_per_cell, window)) < rate
-    verdicts = detector.judge_many(flags)
-    means = verdicts.mean(axis=1)
+    seeds = grid.seeds_per_cell
+    block_rows = max(1, RATE_BLOCK_VERDICTS // window)
+    counts = np.empty(seeds, dtype=np.int64)
+    for first in range(0, seeds, block_rows):
+        rows = min(block_rows, seeds - first)
+        flags = gt_rng.random((rows, window)) < rate
+        counts[first : first + rows] = np.count_nonzero(detector.judge_many(flags), axis=1)
+    means = counts / window
     corrected = np.clip(
         (means - (1.0 - profile.tnr)) / profile.informativeness, 0.0, 1.0
     )

@@ -97,6 +97,9 @@ class MonitorConfig:
             raise ValidationError(f"prior_rate must be in [0, 1], got {self.prior_rate!r}")
         if not 0.0 < self.decay <= 1.0:
             raise ValidationError(f"decay must be in (0, 1], got {self.decay!r}")
+        if self.epsilon < 0.0:
+            # A negative floor would admit J <= 0, which the correction divides by.
+            raise ValidationError(f"epsilon must be >= 0, got {self.epsilon!r}")
         if self.intervention_counts_as not in INTERVENTION_MODES:
             raise ValidationError(
                 f"intervention_counts_as must be one of {INTERVENTION_MODES}"

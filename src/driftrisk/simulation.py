@@ -225,6 +225,15 @@ def batch_correct_probability(sample_accuracy: float, batch_size: int, threshold
     )
 
 
+# The outcome of each code realized_mean_cost gives a batch.
+_OUTCOMES = (
+    CORRECT_DETECTION,
+    FAILED_DETECTION,
+    NECESSARY_INTERVENTION,
+    UNNECESSARY_INTERVENTION,
+)
+
+
 def _window(values, start: int):
     window = values[start:]
     if len(window) == 0:
@@ -281,24 +290,20 @@ class DeploymentTrace:
         With interventions, a positive verdict routes to the intervention
         outcome (necessary iff the batch really was OOD); otherwise the
         model's own correctness decides between correct and failed
-        detection.
+        detection.  An outcome without a cost entry raises
+        ConfigurationError only when some batch of the window has it.
         """
         window = _window(self.verdict, start)
-        total = 0.0
-        for verdict, is_ood, correct in zip(
-            window.tolist(),
-            self.is_ood[start:].tolist(),
-            self.batch_correct[start:].tolist(),
-        ):
-            if with_interventions and verdict:
-                outcome = NECESSARY_INTERVENTION if is_ood else UNNECESSARY_INTERVENTION
-            else:
-                outcome = CORRECT_DETECTION if correct else FAILED_DETECTION
-            try:
-                total += costs[outcome]
-            except KeyError:
-                raise ConfigurationError(f"no cost entry for outcome {outcome!r}") from None
-        return total / len(window)
+        codes = np.where(self.batch_correct[start:], 0, 1)
+        if with_interventions:
+            codes = np.where(window, np.where(self.is_ood[start:], 2, 3), codes)
+        missing = [code for code, outcome in enumerate(_OUTCOMES) if outcome not in costs]
+        unpriced = codes[np.isin(codes, missing)]
+        if len(unpriced):
+            # The first batch in the window whose outcome has no cost.
+            raise ConfigurationError(f"no cost entry for outcome {_OUTCOMES[unpriced[0]]!r}")
+        table = np.array([costs.get(outcome, 0.0) for outcome in _OUTCOMES], dtype=float)
+        return sequential_sum(table[codes]) / len(window)
 
 
 def run_deployment(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from driftrisk.estimation import AccuracyCell, ConditionalAccuracyTable, DetectorProfile
@@ -18,6 +19,13 @@ from driftrisk.event_tree import (
     TreeParams,
 )
 from driftrisk.simulation import AccuracyOracle
+
+def where_judge_many(profile: DetectorProfile, rng: np.random.Generator, is_ood) -> np.ndarray:
+    """The np.where form of SyntheticDetector.judge_many, kept as its reference."""
+    flags = np.asarray(is_ood, dtype=bool)
+    draws = rng.random(flags.shape)
+    return np.where(flags, draws < profile.tpr, draws >= profile.tnr)
+
 
 # Per-outcome costs for the clinical case study (currency units).
 CASE_STUDY_COSTS = {

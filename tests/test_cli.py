@@ -402,6 +402,7 @@ BAD_FIELD_VALUES = [
     ("monitor", "prior_rate", "0.3", "prior_rate must be a number"),
     ("monitor", "trace_capacity", 2.5, "trace_capacity must be an integer"),
     ("monitor", "risk_threshold", -1, "risk_threshold must be >= 0"),
+    ("monitor", "epsilon", -1, "epsilon must be >= 0, got -1"),
     (
         "monitor",
         "costs",
@@ -430,7 +431,15 @@ BAD_FIELD_VALUES = [
     ("sweep", "rates", None, "rates must be a list, got None"),
     ("sweep", "topology", "tree", "topology must be 'base' or 'rv', got 'tree'"),
     ("sweep", "master_seed", -1, "master_seed must be >= 0, got -1"),
+    ("sweep", "classifier_deltas", [1.5], "classifier_deltas entry must be in [0, 1], got 1.5"),
+    ("sweep", "detector_deltas", [-0.5], "detector_deltas entry must be in [0, 1], got -0.5"),
+    ("sweep", "mixture_fraction", 2.0, "mixture_fraction must be in [0, 1], got 2.0"),
+    # cba reads no rates, so an empty list stops only the kinds that do.
+    ("sweep", "rates", [], "grid needs at least one rate"),
 ]
+
+# The sweep kind each bad sweep value runs under: cba, unless cba accepts it.
+SWEEP_KIND_FOR_KEY = {"rates": "risk-curve"}
 
 
 class TestTypedConfigValidation:
@@ -450,7 +459,8 @@ class TestTypedConfigValidation:
         if section in ("stream", "oracle"):
             argv = ["simulate", "--config", str(config), "--output", str(out)]
         elif section == "sweep":
-            argv = ["sweep", "cba", "--config", str(config), "--output", str(out)]
+            kind = SWEEP_KIND_FOR_KEY.get(key, "cba")
+            argv = ["sweep", kind, "--config", str(config), "--output", str(out)]
         else:
             verdicts = write_verdicts(tmp_path, [1] * 30)
             argv = ["monitor", "--config", str(config), "--input", verdicts,

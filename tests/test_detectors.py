@@ -10,6 +10,21 @@ from driftrisk.detectors import SyntheticDetector, detector_grid
 from driftrisk.errors import ValidationError
 from driftrisk.estimation import DetectorProfile
 
+from conftest import where_judge_many
+
+# Flag arrays of every rank judge_many meets: 0-d, empty, 1-D and 2-D.
+flag_arrays = st.one_of(
+    st.booleans().map(np.asarray),
+    st.tuples(st.integers(0, 40), st.integers(0, 40)).flatmap(
+        lambda shape: st.lists(
+            st.booleans(), min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]
+        ).map(lambda flags: np.array(flags, dtype=bool).reshape(shape))
+    ),
+    st.lists(st.booleans(), max_size=300).map(lambda flags: np.array(flags, dtype=bool)),
+)
+# Rates at and between the ends, where a comparison flips on equality.
+edge_rates = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
 
 class TestSyntheticDetector:
     def test_perfect_profile_echoes_ground_truth(self):
@@ -58,6 +73,21 @@ class TestSyntheticDetector:
         a = SyntheticDetector(DetectorProfile(tpr, tnr), seed=seed)
         b = SyntheticDetector(DetectorProfile(tpr, tnr), seed=seed)
         assert [a.judge(x) for x in flags] == b.judge_many(np.array(flags, dtype=bool)).tolist()
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(tpr=edge_rates, tnr=edge_rates, flags=flag_arrays, seed=st.integers(0, 2**32 - 1))
+    def test_judge_many_equals_where_form(self, tpr, tnr, flags, seed):
+        # The in-place boolean form gives the np.where select's bits from
+        # the same draws, and leaves the generator where it leaves it.
+        profile = DetectorProfile(tpr, tnr)
+        detector = SyntheticDetector(profile, seed=seed)
+        reference_rng = np.random.default_rng(seed)
+        verdicts = detector.judge_many(flags)
+        expected = where_judge_many(profile, reference_rng, flags)
+        assert np.shape(verdicts) == expected.shape
+        assert np.asarray(verdicts).dtype == bool
+        assert (verdicts == expected).all()
+        assert detector.rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 class TestJudgeBatch:

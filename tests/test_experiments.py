@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from driftrisk import experiments
 from driftrisk.errors import ValidationError
-from driftrisk.estimation import DetectorProfile
+from driftrisk.estimation import DEFAULT_J_FLOOR, DetectorProfile
 from driftrisk.event_tree import build_rv_tree, expected_risk
 from driftrisk.experiments import (
     CellResult,
@@ -16,8 +20,10 @@ from driftrisk.experiments import (
     batched_accuracy_table,
     cba_surface,
     crossing_rate,
+    RATE_BLOCK_VERDICTS,
     derive_seed,
     mae,
+    rate_error_cell,
     rate_error_sweep,
     risk_curve,
     shifted_tree_params,
@@ -29,6 +35,7 @@ from conftest import (
     CASE_STUDY_PROFILE,
     CASE_STUDY_THRESHOLD,
     make_rv_params,
+    where_judge_many,
 )
 
 
@@ -62,6 +69,103 @@ class TestDeriveSeed:
     def test_deterministic_and_distinct(self):
         assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
         assert derive_seed(1, 2, 3) != derive_seed(1, 2, 4)
+
+    @pytest.mark.parametrize(
+        "coords,seed,draws",
+        [
+            ((0,), 2968811710, [1826701615, 1367864807, 1097657232]),
+            ((7, 101, 0, 3, 20, 1), 4167352422, [1736588081, 1632620811, 903482688]),
+            ((20240901, 7), 1051532114, [876161023, 1834762251, 2018763960]),
+            ((2**32 - 1, 404, 16), 3334500475, [1877404427, 764419306, 1968916898]),
+        ],
+    )
+    def test_one_seed_sequence_keeps_the_values(self, coords, seed, draws):
+        # Both helpers give what they gave when each built its own seeding:
+        # SeedSequence([m, *c]) for the integer seed, default_rng([m, *c])
+        # for the cell generator.
+        assert derive_seed(*coords) == seed
+        assert derive_seed(*coords) == int(
+            np.random.SeedSequence(list(coords)).generate_state(1)[0]
+        )
+        assert experiments._cell_rng(*coords).integers(0, 2**31, 3).tolist() == draws
+        assert np.random.default_rng(list(coords)).integers(0, 2**31, 3).tolist() == draws
+
+
+def one_draw_rate_error_cell(grid: SweepGrid, coords: tuple[int, int, int]) -> CellResult:
+    """rate_error_cell as one (seeds, window) draw, kept as its reference."""
+    wi, pi, ri = coords
+    window = grid.trace_lengths[wi]
+    profile = grid.profiles[pi]
+    rate = grid.rates[ri]
+    axes = {
+        "trace_length": window,
+        "tpr": profile.tpr,
+        "tnr": profile.tnr,
+        "ba": profile.balanced_accuracy,
+        "rate": rate,
+    }
+    if profile.informativeness <= DEFAULT_J_FLOOR:
+        return CellResult(axes, None, None, 0, refused=True)
+    gt_rng = np.random.default_rng([grid.master_seed, 101, wi, pi, ri, 0])
+    detector_rng = np.random.default_rng([grid.master_seed, 101, wi, pi, ri, 1])
+    flags = gt_rng.random((grid.seeds_per_cell, window)) < rate
+    means = where_judge_many(profile, detector_rng, flags).mean(axis=1)
+    corrected = np.clip((means - (1.0 - profile.tnr)) / profile.informativeness, 0.0, 1.0)
+    errors = corrected - rate
+    return CellResult(
+        axes,
+        mae=float(np.mean(np.abs(errors))),
+        mean_signed_error=float(np.mean(errors)),
+        n=grid.seeds_per_cell,
+    )
+
+
+def one_cell_grid(window: int, seeds: int, tpr: float, tnr: float, rate: float, master: int):
+    return SweepGrid(
+        rates=(rate,),
+        profiles=(DetectorProfile(tpr, tnr),),
+        trace_lengths=(window,),
+        seeds_per_cell=seeds,
+        horizon=window + 1,
+        master_seed=master,
+    )
+
+
+class TestRateErrorCellBlocks:
+    @settings(max_examples=120, deadline=None, database=None)
+    @given(
+        window=st.integers(1, 60),
+        seeds=st.integers(1, 25),
+        block=st.integers(1, 400),
+        tpr=st.floats(0.0, 1.0),
+        tnr=st.floats(0.0, 1.0),
+        rate=st.sampled_from([0.0, 0.3, 1.0]) | st.floats(0.0, 1.0),
+        master=st.integers(0, 2**32 - 1),
+    )
+    @example(window=7, seeds=1, block=3, tpr=0.9, tnr=0.8, rate=0.4, master=0)
+    @example(window=7, seeds=11, block=1, tpr=0.9, tnr=0.8, rate=0.4, master=0)
+    def test_blocks_equal_one_draw(self, window, seeds, block, tpr, tnr, rate, master):
+        # Any block size, including blocks smaller than a row and seed
+        # counts the block rows do not divide, gives every field of the
+        # one-draw cell.
+        grid = one_cell_grid(window, seeds, tpr, tnr, rate, master)
+        with mock.patch.object(experiments, "RATE_BLOCK_VERDICTS", block):
+            blocked = rate_error_cell(grid, (0, 0, 0))
+        assert blocked == one_draw_rate_error_cell(grid, (0, 0, 0))
+
+    @pytest.mark.parametrize(
+        "window,seeds",
+        [
+            (RATE_BLOCK_VERDICTS + 1, 3),   # one row per block, wider than a block
+            (RATE_BLOCK_VERDICTS, 2),       # one row fills a block exactly
+            (2000, 33),                     # 32 rows per block, then one
+            (2000, 1),
+            (500, 200),                     # the case-study cell: 131 + 69 rows
+        ],
+    )
+    def test_real_block_size_equals_one_draw(self, window, seeds):
+        grid = one_cell_grid(window, seeds, 0.95, 0.55, 0.3, 7)
+        assert rate_error_cell(grid, (0, 0, 0)) == one_draw_rate_error_cell(grid, (0, 0, 0))
 
 
 class TestErrorReport:

@@ -10,12 +10,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from driftrisk.detectors import SyntheticDetector
-from driftrisk.errors import ValidationError
+from driftrisk.errors import ConfigurationError, ValidationError
 from driftrisk.estimation import DetectorProfile
-from driftrisk.event_tree import IND, OOD, TreeParams, build_base_tree, expected_accuracy
+from driftrisk.event_tree import (
+    CORRECT_DETECTION,
+    FAILED_DETECTION,
+    IND,
+    NECESSARY_INTERVENTION,
+    OOD,
+    TreeParams,
+    UNNECESSARY_INTERVENTION,
+    build_base_tree,
+    expected_accuracy,
+)
 from driftrisk.monitor import Monitor, MonitorConfig
 from driftrisk.simulation import (
     AccuracyOracle,
+    DeploymentTrace,
     OodFold,
     StreamConfig,
     batch_correct_probability,
@@ -372,3 +383,68 @@ def test_run_deployment_verdicts_match_judge_batch(
         loop.judge_batch(f) for f in stream.ood_fraction.tolist()
     ]
     assert trace.is_ood.tolist() == [f >= 0.5 for f in stream.ood_fraction.tolist()]
+
+
+def loop_realized_mean_cost(trace, costs, with_interventions, start=0):
+    """realized_mean_cost as a per-batch loop, kept as its reference."""
+    window = trace.verdict[start:]
+    if len(window) == 0:
+        raise ValidationError("empty suffix window")
+    total = 0.0
+    for verdict, is_ood, correct in zip(
+        window.tolist(), trace.is_ood[start:].tolist(), trace.batch_correct[start:].tolist()
+    ):
+        if with_interventions and verdict:
+            outcome = NECESSARY_INTERVENTION if is_ood else UNNECESSARY_INTERVENTION
+        else:
+            outcome = CORRECT_DETECTION if correct else FAILED_DETECTION
+        try:
+            total += costs[outcome]
+        except KeyError:
+            raise ConfigurationError(f"no cost entry for outcome {outcome!r}") from None
+    return total / len(window)
+
+
+OUTCOMES = (CORRECT_DETECTION, FAILED_DETECTION, NECESSARY_INTERVENTION, UNNECESSARY_INTERVENTION)
+
+
+cost_values = st.one_of(
+    st.floats(0.0, 1e6),
+    st.integers(0, 10**6),
+    st.sampled_from([0.0, 0.1, 1e-300, 5e-324, 1e300]),
+)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    batches=st.lists(
+        st.tuples(st.booleans(), st.booleans(), st.booleans()), min_size=1, max_size=300
+    ),
+    costs=st.fixed_dictionaries({outcome: cost_values for outcome in OUTCOMES}),
+    unpriced=st.one_of(st.just(set()), st.sets(st.sampled_from(OUTCOMES), min_size=1)),
+    with_interventions=st.booleans(),
+    start=st.integers(0, 300),
+)
+def test_realized_mean_cost_equals_the_loop(
+    batches, costs, unpriced, with_interventions, start
+):
+    # Same value (==), same error and the same outcome named in it: a
+    # missing cost fails only when the window holds its outcome, and the
+    # first such batch names it.
+    costs = {outcome: cost for outcome, cost in costs.items() if outcome not in unpriced}
+    verdict, is_ood, correct = (np.array(column, dtype=bool) for column in zip(*batches))
+    trace = DeploymentTrace(
+        is_ood=is_ood,
+        verdict=verdict,
+        batch_accuracy=correct.astype(float),
+        batch_correct=correct,
+        assessments=None,
+    )
+    try:
+        expected = loop_realized_mean_cost(trace, costs, with_interventions, start)
+    except (ConfigurationError, ValidationError) as exc:
+        with pytest.raises(type(exc)) as raised:
+            trace.realized_mean_cost(costs, with_interventions, start)
+        assert str(raised.value) == str(exc)
+    else:
+        assert trace.realized_mean_cost(costs, with_interventions, start) == expected
