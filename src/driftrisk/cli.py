@@ -237,8 +237,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         sweep = replace(config.sweep, master_seed=master_seed)
         if args.kind in ("rate-error", "accuracy-error"):
             sweep = sweep.for_error_sweep()
-        elif args.kind == "risk-curve" and not sweep.rates:
-            raise ValidationError("grid needs at least one rate")
+        elif args.kind == "risk-curve":
+            sweep.require_rates()
     except ValidationError as exc:
         raise _CliError(EXIT_USAGE, f"config error: {exc}") from exc
     output = Path(args.output)

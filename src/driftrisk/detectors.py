@@ -44,7 +44,8 @@ class SyntheticDetector:
         false_alarms = draws >= self.profile.tnr
         false_alarms &= ~flags
         verdicts |= false_alarms
-        return verdicts
+        # On 0-d input the comparisons give numpy scalars, not arrays.
+        return np.asarray(verdicts)
 
     def judge_batch(self, ground_truth: Union[bool, float, Sequence[bool]]) -> bool:
         """One verdict for one batch of inputs.

@@ -67,18 +67,13 @@ def mae(truth: Sequence[float], estimate: Sequence[float]) -> float:
     return float(np.mean(np.abs(t - e)))
 
 
-def _seed_sequence(master_seed: int, *coords: int) -> np.random.SeedSequence:
-    """The one seed derivation: entropy (master seed, coordinates...)."""
-    return np.random.SeedSequence([master_seed, *coords])
-
-
 def _cell_rng(master_seed: int, *coords: int) -> np.random.Generator:
-    return np.random.default_rng(_seed_sequence(master_seed, *coords))
+    return np.random.default_rng(np.random.SeedSequence([master_seed, *coords]))
 
 
 def derive_seed(master_seed: int, *coords: int) -> int:
     """Collapse cell coordinates into a single reproducible integer seed."""
-    return int(_seed_sequence(master_seed, *coords).generate_state(1)[0])
+    return int(np.random.SeedSequence([master_seed, *coords]).generate_state(1)[0])
 
 
 def _check_in(name: str, value, low, high=None, integer: bool = False) -> None:
@@ -154,14 +149,18 @@ class SweepGrid:
             return tuple(detector_grid(self.grid_step, self.ba_floor))
         raise ValidationError("sweep needs either 'profiles' or 'grid_step'")
 
+    def require_rates(self) -> None:
+        """Refuse a grid with no rates, for the sweep kinds that read them."""
+        if not self.rates:
+            raise ValidationError("grid needs at least one rate")
+
     def for_error_sweep(self) -> "SweepGrid":
         """This grid with its profiles resolved, once the error-sweep rules hold.
 
         An error sweep needs at least one rate, at least one detector
         profile, and a horizon longer than every trace length.
         """
-        if not self.rates:
-            raise ValidationError("grid needs at least one rate")
+        self.require_rates()
         profiles = self.resolved_profiles()
         if not profiles:
             raise ValidationError("grid needs at least one detector profile")

@@ -434,22 +434,20 @@ BAD_FIELD_VALUES = [
     ("sweep", "classifier_deltas", [1.5], "classifier_deltas entry must be in [0, 1], got 1.5"),
     ("sweep", "detector_deltas", [-0.5], "detector_deltas entry must be in [0, 1], got -0.5"),
     ("sweep", "mixture_fraction", 2.0, "mixture_fraction must be in [0, 1], got 2.0"),
-    # cba reads no rates, so an empty list stops only the kinds that do.
-    ("sweep", "rates", [], "grid needs at least one rate"),
+    # cba reads no rates, so an empty list stops only the kinds that do; an
+    # optional fifth field names the sweep kind a row runs under (default cba).
+    ("sweep", "rates", [], "grid needs at least one rate", "risk-curve"),
 ]
-
-# The sweep kind each bad sweep value runs under: cba, unless cba accepts it.
-SWEEP_KIND_FOR_KEY = {"rates": "risk-curve"}
 
 
 class TestTypedConfigValidation:
     @pytest.mark.parametrize(
-        "section,key,value,message",
-        BAD_FIELD_VALUES,
-        ids=[f"{section}: {message}" for section, _, _, message in BAD_FIELD_VALUES],
+        "section,key,value,message,kind",
+        [(*row, "cba")[:5] for row in BAD_FIELD_VALUES],
+        ids=[f"{row[0]}: {row[3]}" for row in BAD_FIELD_VALUES],
     )
     def test_rejected_at_load_with_usage_exit(
-        self, tmp_path, capsys, section, key, value, message
+        self, tmp_path, capsys, section, key, value, message, kind
     ):
         payload = case_study_config_dict()
         payload[section][key] = value
@@ -459,7 +457,6 @@ class TestTypedConfigValidation:
         if section in ("stream", "oracle"):
             argv = ["simulate", "--config", str(config), "--output", str(out)]
         elif section == "sweep":
-            kind = SWEEP_KIND_FOR_KEY.get(key, "cba")
             argv = ["sweep", kind, "--config", str(config), "--output", str(out)]
         else:
             verdicts = write_verdicts(tmp_path, [1] * 30)

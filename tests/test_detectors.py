@@ -84,8 +84,9 @@ class TestSyntheticDetector:
         reference_rng = np.random.default_rng(seed)
         verdicts = detector.judge_many(flags)
         expected = where_judge_many(profile, reference_rng, flags)
-        assert np.shape(verdicts) == expected.shape
-        assert np.asarray(verdicts).dtype == bool
+        assert isinstance(verdicts, np.ndarray)
+        assert verdicts.shape == expected.shape
+        assert verdicts.dtype == bool
         assert (verdicts == expected).all()
         assert detector.rng.bit_generator.state == reference_rng.bit_generator.state
 

@@ -79,10 +79,10 @@ class TestDeriveSeed:
             ((2**32 - 1, 404, 16), 3334500475, [1877404427, 764419306, 1968916898]),
         ],
     )
-    def test_one_seed_sequence_keeps_the_values(self, coords, seed, draws):
-        # Both helpers give what they gave when each built its own seeding:
-        # SeedSequence([m, *c]) for the integer seed, default_rng([m, *c])
-        # for the cell generator.
+    def test_seeding_keeps_the_values(self, coords, seed, draws):
+        # Pinned values: SeedSequence([m, *c]) for the integer seed and
+        # default_rng([m, *c]) for the cell generator, which both helpers
+        # must keep giving.
         assert derive_seed(*coords) == seed
         assert derive_seed(*coords) == int(
             np.random.SeedSequence(list(coords)).generate_state(1)[0]
