@@ -43,7 +43,7 @@ from .experiments import (
 )
 from .detectors import SyntheticDetector
 from .monitor import Monitor
-from .simulation import generate_stream, ind_percentile_threshold, run_deployment
+from .simulation import clean_batch_threshold, generate_stream, run_deployment
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -86,13 +86,11 @@ def _simulate_threshold(config: RunConfig, stream_config) -> float:
     """
     if config.stream.correct_threshold is not None:
         return config.stream.correct_threshold
-    if stream_config.batch_size == 1:
-        return 0.5
-    rng = np.random.default_rng(derive_seed(stream_config.seed, _SIM_VALIDATION_TAG))
-    accs = (
-        rng.random((1000, stream_config.batch_size)) < config.oracle.ind_accuracy
-    ).mean(axis=1)
-    return ind_percentile_threshold(accs, 1.0)
+    return clean_batch_threshold(
+        np.random.default_rng(derive_seed(stream_config.seed, _SIM_VALIDATION_TAG)),
+        config.oracle.ind_accuracy,
+        stream_config.batch_size,
+    )
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -181,12 +179,16 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     _require(config, "monitor")
     monitor = Monitor(config.monitor)
 
+    # Bytes that are not UTF-8 are read as lone surrogates, whatever the
+    # locale, so the line parser refuses them with their line number.
     if args.input is None or args.input == "-":
         lines = sys.stdin
         close_input = None
+        if hasattr(lines, "reconfigure"):
+            lines.reconfigure(errors="surrogateescape")
     else:
         try:
-            close_input = open(args.input, encoding="utf-8")
+            close_input = open(args.input, encoding="utf-8", errors="surrogateescape")
         except OSError as exc:
             raise _CliError(EXIT_DATA, f"cannot read verdicts: {exc}") from exc
         lines = close_input
@@ -238,7 +240,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if args.kind in ("rate-error", "accuracy-error"):
             sweep = sweep.for_error_sweep()
         elif args.kind == "risk-curve":
-            sweep.require_rates()
+            sweep.require_risk_curve()
     except ValidationError as exc:
         raise _CliError(EXIT_USAGE, f"config error: {exc}") from exc
     output = Path(args.output)

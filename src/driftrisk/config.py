@@ -12,7 +12,7 @@ import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .errors import ValidationError, check_fields, check_keys, check_number
+from .errors import ValidationError, check_fields, check_keys, check_range
 from .experiments import SweepGrid
 from .monitor import MonitorConfig
 from .simulation import AccuracyOracle, OodFold, StreamConfig
@@ -33,10 +33,8 @@ class StreamSection:
         check_fields("stream", payload, StreamConfig, {"correct_threshold"})
         kwargs = dict(payload)
         threshold = kwargs.pop("correct_threshold", None)
-        if threshold is not None and not 0.0 < check_number("correct_threshold", threshold) <= 1.0:
-            raise ValidationError(
-                f"correct_threshold must be in (0, 1], got {threshold!r}"
-            )
+        if threshold is not None:
+            check_range("correct_threshold", threshold, 0, 1, low_open=True)
         return cls(config=StreamConfig(**kwargs), correct_threshold=threshold)
 
 
@@ -117,7 +115,8 @@ def load_run_config(path: str | Path) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        # JSON text is UTF-8, so bytes that do not decode are invalid JSON too.
         raise ValidationError(f"config {path}: invalid JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise ValidationError(f"config {path}: top level must be an object")

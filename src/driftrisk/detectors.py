@@ -11,7 +11,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_range
 from .estimation import DetectorProfile
 
 class SyntheticDetector:
@@ -58,9 +58,7 @@ class SyntheticDetector:
         if isinstance(ground_truth, (bool, np.bool_)):
             return self.judge(bool(ground_truth))
         if isinstance(ground_truth, (int, float, np.floating)):
-            fraction = float(ground_truth)
-            if not 0.0 <= fraction <= 1.0:
-                raise ValidationError(f"OOD fraction must be in [0, 1], got {fraction!r}")
+            fraction = check_range("OOD fraction", float(ground_truth), 0, 1)
         else:
             flags = np.asarray(ground_truth, dtype=bool)
             if flags.size == 0:
@@ -76,8 +74,7 @@ def detector_grid(step: float = 0.1, ba_floor: float = 0.5) -> list[DetectorProf
     lattice arithmetic so float rounding cannot leak boundary profiles in
     or out.
     """
-    if not 0.0 < step <= 1.0:
-        raise ValidationError(f"step must be in (0, 1], got {step!r}")
+    check_range("step", step, 0, 1, low_open=True)
     n = round(1.0 / step)
     profiles = []
     for i in range(n + 1):

@@ -3,9 +3,9 @@
 Every error raised by driftrisk derives from DriftRiskError so callers can
 catch the whole family at once.  ValidationError doubles as a ValueError for
 idiomatic use at API boundaries.  :func:`check_number` is the one typed
-check that numeric config fields pass before their range checks, and
-:func:`check_fields` the one key check of a config section that holds the
-fields of a dataclass.
+check of a numeric value, :func:`check_range` the one range check of a
+single value, which runs it first, and :func:`check_fields` the one key
+check of a config section that holds the fields of a dataclass.
 """
 
 import math
@@ -34,6 +34,23 @@ def check_number(name: str, value, integer: bool = False):
         raise ValidationError(f"{name} must be {expected}, got {value!r}")
     if not integer and not math.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def check_range(
+    name: str, value, low, high=None, integer: bool = False, low_open: bool = False
+):
+    """Return ``value`` once check_number passes and it lies within the bounds.
+
+    The bounds are ``low <= value``, or ``low < value`` with ``low_open``
+    (which needs ``high``), and ``value <= high`` when ``high`` is given.
+    The message names them as ``>= low``, ``in [low, high]`` or
+    ``in (low, high]``, so pass integer bounds to print ``[0, 1]``.
+    """
+    check_number(name, value, integer=integer)
+    if value < low or (low_open and value == low) or (high is not None and value > high):
+        bounds = f">= {low}" if high is None else f"in {'(' if low_open else '['}{low}, {high}]"
+        raise ValidationError(f"{name} must be {bounds}, got {value!r}")
     return value
 
 

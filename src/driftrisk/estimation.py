@@ -23,7 +23,7 @@ from .errors import (
     EstimationError,
     UninformativeDetectorError,
     ValidationError,
-    check_number,
+    check_range,
 )
 from .event_tree import (
     BASE_CONDITIONS,
@@ -46,9 +46,8 @@ class DetectorProfile:
     tnr: float
 
     def __post_init__(self) -> None:
-        for name, value in (("tpr", self.tpr), ("tnr", self.tnr)):
-            if not 0.0 <= check_number(name, value) <= 1.0:
-                raise ValidationError(f"{name} must be in [0, 1], got {value!r}")
+        check_range("tpr", self.tpr, 0, 1)
+        check_range("tnr", self.tnr, 0, 1)
 
     @property
     def informativeness(self) -> float:
@@ -72,9 +71,7 @@ class VerdictTrace:
     """
 
     def __init__(self, capacity: int, verdicts: Iterable[bool] = ()) -> None:
-        if capacity < 1:
-            raise ValidationError(f"trace capacity must be >= 1, got {capacity!r}")
-        self.capacity = int(capacity)
+        self.capacity = int(check_range("trace capacity", capacity, 1, integer=True))
         self._ring = np.zeros(2 * self.capacity, dtype=bool)
         self._head = 2 * self.capacity  # the window is _ring[_head:_head + _fill]
         self._fill = 0
@@ -155,8 +152,7 @@ def weighted_mean(trace: VerdictTrace, decay: float) -> float:
     Weight of a verdict of age a (age 0 = newest) is decay**a.  decay=1
     reproduces the plain empirical mean exactly.
     """
-    if not 0.0 < decay <= 1.0:
-        raise ValidationError(f"decay must be in (0, 1], got {decay!r}")
+    check_range("decay", decay, 0, 1, low_open=True)
     if trace.fill == 0:
         raise EstimationError("insufficient data: verdict trace is empty")
     if decay == 1.0:
@@ -201,8 +197,7 @@ def forward_bias(p_true: float, profile: DetectorProfile) -> float:
     This is the forward model that :func:`rogan_gladen` inverts, kept as a
     separate operation so tests can use it as an independent oracle.
     """
-    if not 0.0 <= p_true <= 1.0:
-        raise ValidationError(f"p_true must be in [0, 1], got {p_true!r}")
+    check_range("p_true", p_true, 0, 1)
     return profile.tpr * p_true + (1.0 - profile.tnr) * (1.0 - p_true)
 
 
@@ -241,8 +236,7 @@ def rogan_gladen(
     divides by J, so a weak detector turns verdict noise into arbitrarily
     large rate swings, and silent garbage is worse than an error here.
     """
-    if not 0.0 <= raw_mean <= 1.0:
-        raise ValidationError(f"raw_mean must be in [0, 1], got {raw_mean!r}")
+    check_range("raw_mean", raw_mean, 0, 1)
     require_informative(profile, epsilon)
     pre_clamp = (raw_mean - (1.0 - profile.tnr)) / profile.informativeness
     corrected = min(1.0, max(0.0, pre_clamp))
@@ -337,13 +331,9 @@ class ConditionalAccuracyTable:
                 )
             accuracy = cell.get("accuracy")
             if accuracy is not None:
-                check_number(f"accuracy for condition {key!r}", accuracy)
-                if not 0.0 <= accuracy <= 1.0:
-                    raise ValidationError(
-                        f"accuracy for condition {key!r} must be in [0, 1], got {accuracy!r}"
-                    )
-            support = check_number(
-                f"support for condition {key!r}", cell.get("support", 0), integer=True
+                check_range(f"accuracy for condition {key!r}", accuracy, 0, 1)
+            support = check_range(
+                f"support for condition {key!r}", cell.get("support", 0), 0, integer=True
             )
             cells[condition] = AccuracyCell(accuracy, support)
         return cls(cells)

@@ -26,7 +26,7 @@ from typing import Iterator, Mapping, Union
 
 import numpy as np
 
-from .errors import ConfigurationError, ValidationError, check_number
+from .errors import ConfigurationError, ValidationError, check_range
 
 # Probability bookkeeping tolerance: generous for trees of depth <= 3.
 PROB_TOL = 1e-9
@@ -90,13 +90,6 @@ def parse_condition(key: str) -> Condition:
         raise ValidationError(f"unknown condition key: {key!r}") from None
 
 
-def _check_prob(name: str, value: float) -> float:
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
-        raise ValidationError(f"{name} must be in [0, 1], got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class TreeParams:
     """Parameters that fully determine either tree topology.
@@ -116,13 +109,13 @@ class TreeParams:
     data_free: frozenset[Condition] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
-        _check_prob("p_event", self.p_event)
+        check_range("p_event", self.p_event, 0, 1)
         if self.tpr is not None:
-            _check_prob("tpr", self.tpr)
+            check_range("tpr", self.tpr, 0, 1)
         if self.tnr is not None:
-            _check_prob("tnr", self.tnr)
+            check_range("tnr", self.tnr, 0, 1)
         for cond, acc in self.accuracies.items():
-            _check_prob(f"accuracy[{cond.key}]", acc)
+            check_range(f"accuracy[{cond.key}]", acc, 0, 1)
 
     def accuracy_for(self, condition: Condition) -> float | None:
         return self.accuracies.get(condition)
@@ -165,10 +158,7 @@ def validate_costs(costs: CostModel) -> None:
     if not isinstance(costs, Mapping):
         raise ValidationError(f"costs must be an object, got {costs!r}")
     for outcome, cost in costs.items():
-        if check_number(f"cost for outcome {outcome!r}", cost) < 0:
-            raise ValidationError(
-                f"cost for outcome {outcome!r} must be a non-negative number, got {cost!r}"
-            )
+        check_range(f"cost for outcome {outcome!r}", cost, 0)
 
 
 def iter_leaves(tree: EventTree) -> Iterator[tuple[float, Leaf]]:

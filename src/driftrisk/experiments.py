@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .detectors import SyntheticDetector, detector_grid
-from .errors import ValidationError, check_fields, check_number
+from .errors import ValidationError, check_fields, check_number, check_range
 from .estimation import (
     AccuracyCell,
     ConditionalAccuracyTable,
@@ -40,8 +40,8 @@ from .simulation import (
     AccuracyOracle,
     StreamConfig,
     batch_correct_probability,
+    clean_batch_threshold,
     generate_stream,
-    ind_percentile_threshold,
     run_deployment,
     sequential_sum,
 )
@@ -74,14 +74,6 @@ def _cell_rng(master_seed: int, *coords: int) -> np.random.Generator:
 def derive_seed(master_seed: int, *coords: int) -> int:
     """Collapse cell coordinates into a single reproducible integer seed."""
     return int(np.random.SeedSequence([master_seed, *coords]).generate_state(1)[0])
-
-
-def _check_in(name: str, value, low, high=None, integer: bool = False) -> None:
-    """check_number, then low <= value, and value <= high when high is given."""
-    check_number(name, value, integer=integer)
-    if value < low or (high is not None and value > high):
-        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
-        raise ValidationError(f"{name} must be {bounds}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -118,25 +110,25 @@ class SweepGrid:
     def __post_init__(self) -> None:
         for name in ("horizon", "risk_horizon"):
             check_number(name, getattr(self, name), integer=True)
-        _check_in("master_seed", self.master_seed, 0, integer=True)
+        check_range("master_seed", self.master_seed, 0, integer=True)
         for name in ("seeds_per_cell", "validation_batches", "risk_trace_length"):
-            _check_in(name, getattr(self, name), 1, integer=True)
+            check_range(name, getattr(self, name), 1, integer=True)
         for name in ("batch_sizes", "trace_lengths"):
             for value in getattr(self, name):
-                _check_in(f"{name} entry", value, 1, integer=True)
+                check_range(f"{name} entry", value, 1, integer=True)
         for value in self.rates:
-            _check_in("rates entry", value, 0, 1)
+            check_range("rates entry", value, 0, 1)
         for name in ("classifier_deltas", "detector_deltas"):
             for value in getattr(self, name):
-                _check_in(f"{name} entry", value, 0, 1)
+                check_range(f"{name} entry", value, 0, 1)
         check_number("ba_floor", self.ba_floor)
-        _check_in("prior_rate", self.prior_rate, 0, 1)
-        _check_in("percentile", self.percentile, 0, 100)
+        check_range("prior_rate", self.prior_rate, 0, 1)
+        check_range("percentile", self.percentile, 0, 100)
         if self.grid_step is not None:
             check_number("grid_step", self.grid_step)
         for name in ("mixture_fraction", "operating_rate"):
             if getattr(self, name) is not None:
-                _check_in(name, getattr(self, name), 0, 1)
+                check_range(name, getattr(self, name), 0, 1)
         if not isinstance(self.uniform, bool):
             raise ValidationError(f"uniform must be true or false, got {self.uniform!r}")
         if self.topology not in ("base", "rv"):
@@ -153,6 +145,19 @@ class SweepGrid:
         """Refuse a grid with no rates, for the sweep kinds that read them."""
         if not self.rates:
             raise ValidationError("grid needs at least one rate")
+
+    def require_risk_curve(self) -> None:
+        """Refuse a grid that risk_curve cannot run.
+
+        A risk curve needs at least one rate, and a risk_horizon longer
+        than risk_trace_length.
+        """
+        self.require_rates()
+        if self.risk_horizon <= self.risk_trace_length:
+            raise ValidationError(
+                f"risk_horizon ({self.risk_horizon}) must exceed "
+                f"risk_trace_length ({self.risk_trace_length})"
+            )
 
     def for_error_sweep(self) -> "SweepGrid":
         """This grid with its profiles resolved, once the error-sweep rules hold.
@@ -367,17 +372,18 @@ def batched_accuracy_table(
 
 
 def validation_threshold(grid: SweepGrid, oracle: AccuracyOracle, batch_size: int) -> float:
-    """Batch-correctness threshold from simulated clean validation batches.
+    """The grid's batch-correctness threshold for one batch size.
 
-    Batch size 1 degenerates to per-sample correctness, pinned at 0.5.
+    clean_batch_threshold on a generator seeded by the master seed and the
+    batch size, with the grid's validation batches and percentile.
     """
-    if batch_size == 1:
-        return 0.5
-    rng = _cell_rng(grid.master_seed, _VALIDATION_TAG, batch_size)
-    accs = (rng.random((grid.validation_batches, batch_size)) < oracle.ind_accuracy).mean(
-        axis=1
+    return clean_batch_threshold(
+        _cell_rng(grid.master_seed, _VALIDATION_TAG, batch_size),
+        oracle.ind_accuracy,
+        batch_size,
+        grid.validation_batches,
+        grid.percentile,
     )
-    return ind_percentile_threshold(accs, grid.percentile)
 
 
 def accuracy_error_cell(
@@ -550,18 +556,17 @@ def risk_curve(
             f"horizon ({horizon}) must exceed trace_length ({trace_length})"
         )
     table, _, _ = batched_accuracy_table(oracle, batch_size=1, threshold=0.5)
-
-    def make_monitor(topology: str) -> Monitor:
-        return Monitor(
-            MonitorConfig(
-                topology=topology,
-                profile=profile,
-                accuracies=table,
-                trace_capacity=trace_length,
-                prior_rate=prior_rate,
-                costs=dict(costs),
-            )
-        )
+    rv_config = MonitorConfig(
+        topology="rv",
+        profile=profile,
+        accuracies=table,
+        trace_capacity=trace_length,
+        prior_rate=prior_rate,
+        costs=dict(costs),
+    )
+    # The base system sees the same batches and verdicts, so the same rate
+    # estimates; only the tree differs.
+    evaluate_base = Monitor(replace(rv_config, topology="base")).evaluate
 
     points = []
     for ri, rate in enumerate(rates):
@@ -575,17 +580,16 @@ def risk_curve(
             oracle,
         )
         detector = SyntheticDetector(profile, _cell_rng(master_seed, _RISK_CURVE_TAG, ri, 1))
-        rv = run_deployment(stream, detector, make_monitor("rv"), 0.5)
-        # The base system sees the same batches and verdicts; only the tree differs.
-        base = replace(rv, assessments=make_monitor("base").observe_many(rv.verdict))
+        rv = run_deployment(stream, detector, Monitor(rv_config), 0.5)
         start = rv.warmup_end()
+        _, base_risks = evaluate_base(rv.assessments.corrected[start:])
         points.append(
             RiskCurvePoint(
                 rate=float(rate),
                 estimated_rv=rv.mean_expected_risk(start),
                 actual_rv=rv.realized_mean_cost(costs, True, start),
-                estimated_base=base.mean_expected_risk(start),
-                actual_base=base.realized_mean_cost(costs, False, start),
+                estimated_base=sequential_sum(base_risks) / len(base_risks),
+                actual_base=rv.realized_mean_cost(costs, False, start),
             )
         )
     rate_list = [p.rate for p in points]
@@ -661,8 +665,7 @@ def cba_surface(
         raise ValidationError("cba_surface requires rv-topology params (tpr and tnr)")
     for deltas, name in ((classifier_deltas, "classifier"), (detector_deltas, "detector")):
         for delta in deltas:
-            if not 0.0 <= delta <= 1.0:
-                raise ValidationError(f"{name} delta {delta!r} outside [0, 1]")
+            check_range(f"{name} delta", delta, 0, 1)
     rows = []
     for dc in classifier_deltas:
         for dd in detector_deltas:

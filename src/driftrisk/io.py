@@ -34,7 +34,9 @@ def fmt(value) -> str:
     return str(value)
 
 
-def _parse_bool(raw: str, context: str) -> bool:
+def _parse_bool(raw: str | None, context: str) -> bool:
+    if raw is None:  # csv.DictReader's value for a field missing from a short row
+        raise ValidationError(f"{context}: missing value")
     token = raw.strip().lower()
     if token in _TRUTHY:
         return True
@@ -50,21 +52,27 @@ def read_labeled_records(path: str | Path) -> list[tuple[bool, bool | None, bool
     optional, and individual verdict fields may be empty for samples that
     were never judged.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
+    # Bytes that are not UTF-8 are read as lone surrogates, which no boolean
+    # field parses, so the row that holds them is refused with its line number.
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as handle:
         reader = csv.DictReader(handle)
-        columns = reader.fieldnames or []
-        for required in ("is_ood", "is_correct"):
-            if required not in columns:
-                raise CalibrationError(f"labeled data is missing the {required!r} column")
-        has_verdict = "verdict" in columns
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            is_ood = _parse_bool(row["is_ood"], f"line {line_no}, column is_ood")
-            is_correct = _parse_bool(row["is_correct"], f"line {line_no}, column is_correct")
-            verdict = None
-            if has_verdict and row["verdict"] not in (None, ""):
-                verdict = _parse_bool(row["verdict"], f"line {line_no}, column verdict")
-            rows.append((is_ood, verdict, is_correct))
+        try:
+            columns = reader.fieldnames or []
+            for required in ("is_ood", "is_correct"):
+                if required not in columns:
+                    raise CalibrationError(f"labeled data is missing the {required!r} column")
+            has_verdict = "verdict" in columns
+            rows = []
+            for line_no, row in enumerate(reader, start=2):
+                is_ood = _parse_bool(row["is_ood"], f"line {line_no}, column is_ood")
+                is_correct = _parse_bool(row["is_correct"], f"line {line_no}, column is_correct")
+                verdict = None
+                if has_verdict and row["verdict"] not in (None, ""):
+                    verdict = _parse_bool(row["verdict"], f"line {line_no}, column verdict")
+                rows.append((is_ood, verdict, is_correct))
+        except csv.Error as exc:  # such as a field over the csv module's size limit
+            # line_num counts the lines read before the one that failed.
+            raise ValidationError(f"line {reader.line_num + 1}: {exc}") from exc
     if not rows:
         raise CalibrationError("labeled data file contains no rows")
     return rows

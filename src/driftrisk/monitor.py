@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SnapshotError, ValidationError, check_fields, check_number
+from .errors import SnapshotError, ValidationError, check_fields, check_number, check_range
 from .estimation import (
     DEFAULT_J_FLOOR,
     ConditionalAccuracyTable,
@@ -80,26 +80,15 @@ class MonitorConfig:
     def __post_init__(self) -> None:
         if self.topology not in ("base", "rv"):
             raise ValidationError(f"topology must be 'base' or 'rv', got {self.topology!r}")
-        check_number("trace_capacity", self.trace_capacity, integer=True)
+        check_range("trace_capacity", self.trace_capacity, 1, integer=True)
         if self.min_fill is not None:
             check_number("min_fill", self.min_fill, integer=True)
-        for name in ("prior_rate", "decay", "epsilon"):
-            check_number(name, getattr(self, name))
+        check_range("prior_rate", self.prior_rate, 0, 1)
+        check_range("decay", self.decay, 0, 1, low_open=True)
+        # A negative floor would admit J <= 0, which the correction divides by.
+        check_range("epsilon", self.epsilon, 0)
         if self.risk_threshold is not None:
-            check_number("risk_threshold", self.risk_threshold)
-            if self.risk_threshold < 0.0:
-                raise ValidationError(
-                    f"risk_threshold must be >= 0, got {self.risk_threshold!r}"
-                )
-        if self.trace_capacity < 1:
-            raise ValidationError(f"trace_capacity must be >= 1, got {self.trace_capacity!r}")
-        if not 0.0 <= self.prior_rate <= 1.0:
-            raise ValidationError(f"prior_rate must be in [0, 1], got {self.prior_rate!r}")
-        if not 0.0 < self.decay <= 1.0:
-            raise ValidationError(f"decay must be in (0, 1], got {self.decay!r}")
-        if self.epsilon < 0.0:
-            # A negative floor would admit J <= 0, which the correction divides by.
-            raise ValidationError(f"epsilon must be >= 0, got {self.epsilon!r}")
+            check_range("risk_threshold", self.risk_threshold, 0)
         if self.intervention_counts_as not in INTERVENTION_MODES:
             raise ValidationError(
                 f"intervention_counts_as must be one of {INTERVENTION_MODES}"
@@ -207,7 +196,8 @@ class Monitor:
             )
         # Build once at the prior rate, so mis-configured accuracies and
         # unpriced reachable leaves surface at construction time, and
-        # compile: every later rate reuses the same leaf table.
+        # compile: every later rate reuses the same leaf table.  evaluate is
+        # CompiledTree.evaluate, for callers that have rates but no verdicts.
         params = TreeParams(
             p_event=config.prior_rate,
             accuracies=config.accuracies.tree_accuracies(),
@@ -216,7 +206,7 @@ class Monitor:
             data_free=config.accuracies.data_free_conditions(),
         )
         tree = build_tree(config.topology, params, config.costs)
-        self._evaluate = compile_tree(tree, priced=config.costs is not None).evaluate
+        self.evaluate = compile_tree(tree, priced=config.costs is not None).evaluate
 
     def observe(self, verdict: bool) -> Assessment:
         """Ingest one verdict and produce the updated assessment."""
@@ -237,7 +227,7 @@ class Monitor:
             # Rogan-Gladen, as estimation.rogan_gladen computes it.
             pre_clamp = (raw - self._false_positive_rate) / self._informativeness
             corrected = min(1.0, max(0.0, pre_clamp))
-        accuracy, risk = self._evaluate(corrected, config.intervention_counts_as)
+        accuracy, risk = self.evaluate(corrected, config.intervention_counts_as)
         alert = (
             config.risk_threshold is not None
             and risk is not None
@@ -288,7 +278,7 @@ class Monitor:
             (raw - self._false_positive_rate) / self._informativeness,
         )
         corrected = np.minimum(1.0, np.maximum(0.0, pre_clamp))
-        accuracy, risk = self._evaluate(corrected, config.intervention_counts_as)
+        accuracy, risk = self.evaluate(corrected, config.intervention_counts_as)
         if config.risk_threshold is not None and risk is not None:
             alert = risk > config.risk_threshold
         else:

@@ -23,7 +23,7 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover
     from .monitor import Assessments
 
-from .errors import ConfigurationError, ValidationError, check_number
+from .errors import ConfigurationError, ValidationError, check_range
 from .event_tree import (
     CORRECT_DETECTION,
     CostModel,
@@ -60,25 +60,14 @@ class StreamConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("batch_size", "horizon", "seed"):
-            check_number(name, getattr(self, name), integer=True)
-        check_number("shift_rate", self.shift_rate)
+        check_range("batch_size", self.batch_size, 1, integer=True)
+        check_range("horizon", self.horizon, 1, integer=True)
+        check_range("seed", self.seed, 0, integer=True)
+        check_range("shift_rate", self.shift_rate, 0, 1)
         if self.mixture_fraction is not None:
-            check_number("mixture_fraction", self.mixture_fraction)
+            check_range("mixture_fraction", self.mixture_fraction, 0, 1)
         if not isinstance(self.uniform, bool):
             raise ValidationError(f"uniform must be true or false, got {self.uniform!r}")
-        if self.batch_size < 1:
-            raise ValidationError(f"batch_size must be >= 1, got {self.batch_size!r}")
-        if not 0.0 <= self.shift_rate <= 1.0:
-            raise ValidationError(f"shift_rate must be in [0, 1], got {self.shift_rate!r}")
-        if self.horizon < 1:
-            raise ValidationError(f"horizon must be >= 1, got {self.horizon!r}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed!r}")
-        if self.mixture_fraction is not None and not 0.0 <= self.mixture_fraction <= 1.0:
-            raise ValidationError(
-                f"mixture_fraction must be in [0, 1], got {self.mixture_fraction!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -90,10 +79,8 @@ class OodFold:
     weight: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= check_number("fold accuracy", self.accuracy) <= 1.0:
-            raise ValidationError(f"fold accuracy must be in [0, 1], got {self.accuracy!r}")
-        if check_number("fold weight", self.weight) < 0.0:
-            raise ValidationError(f"fold weight must be >= 0, got {self.weight!r}")
+        check_range("fold accuracy", self.accuracy, 0, 1)
+        check_range("fold weight", self.weight, 0)
 
 
 @dataclass(frozen=True)
@@ -104,10 +91,7 @@ class AccuracyOracle:
     folds: tuple[OodFold, ...]
 
     def __post_init__(self) -> None:
-        if not 0.0 <= check_number("ind_accuracy", self.ind_accuracy) <= 1.0:
-            raise ValidationError(
-                f"ind_accuracy must be in [0, 1], got {self.ind_accuracy!r}"
-            )
+        check_range("ind_accuracy", self.ind_accuracy, 0, 1)
         if not self.folds:
             raise ValidationError("oracle needs at least one OOD fold")
         total = sum(fold.weight for fold in self.folds)
@@ -195,9 +179,28 @@ def ind_percentile_threshold(ind_batch_accuracies: Sequence[float], percentile: 
     values = np.asarray(ind_batch_accuracies, dtype=float)
     if values.size == 0:
         raise ValidationError("cannot take a percentile of an empty sequence")
-    if not 0.0 <= percentile <= 100.0:
-        raise ValidationError(f"percentile must be in [0, 100], got {percentile!r}")
+    check_range("percentile", percentile, 0, 100)
     return float(np.percentile(values, percentile))
+
+
+def clean_batch_threshold(
+    rng: np.random.Generator,
+    ind_accuracy: float,
+    batch_size: int,
+    batches: int = 1000,
+    percentile: float = 1.0,
+) -> float:
+    """The batch-correctness threshold from simulated clean validation batches.
+
+    The percentile of the realized mean accuracy of ``batches`` clean
+    batches, whose samples are correct with probability ``ind_accuracy``,
+    drawn from ``rng``.  Batch size 1 degenerates to per-sample
+    correctness, pinned at 0.5, and draws nothing.
+    """
+    if batch_size == 1:
+        return 0.5
+    accs = (rng.random((batches, batch_size)) < ind_accuracy).mean(axis=1)
+    return ind_percentile_threshold(accs, percentile)
 
 
 def batch_correct_probability(sample_accuracy: float, batch_size: int, threshold: float) -> float:
@@ -207,10 +210,8 @@ def batch_correct_probability(sample_accuracy: float, batch_size: int, threshold
     This is what a condition's "accuracy" means once evaluation is
     batch-wise, so tree parameters for batched monitors come from here.
     """
-    if batch_size < 1:
-        raise ValidationError(f"batch_size must be >= 1, got {batch_size!r}")
-    if not 0.0 <= sample_accuracy <= 1.0:
-        raise ValidationError(f"sample_accuracy must be in [0, 1], got {sample_accuracy!r}")
+    check_range("batch_size", batch_size, 1, integer=True)
+    check_range("sample_accuracy", sample_accuracy, 0, 1)
     k_min = math.ceil(threshold * batch_size - 1e-9)
     if k_min <= 0:
         return 1.0

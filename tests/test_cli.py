@@ -30,6 +30,8 @@ from driftrisk.cli import (
     VERDICT_CHUNK_LINES,
     main,
 )
+from driftrisk.config import parse_run_config
+from driftrisk.experiments import derive_seed
 from driftrisk.monitor import Monitor
 
 from conftest import CASE_STUDY_COSTS, case_study_config_dict
@@ -115,6 +117,40 @@ class TestSimulate:
         )
         assert code == EXIT_USAGE
 
+    def test_config_not_utf8_exits_usage(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"schema_version": 1, "\xff": 1}')
+        out = tmp_path / "trace.csv"
+        code = main(["simulate", "--config", str(path), "--output", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith(f"driftrisk: config error: config {path}: invalid JSON (")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_batch_threshold_is_the_validation_rule(self, tmp_path):
+        # batch_size 16 without correct_threshold: the 1st percentile of the
+        # mean accuracy of 1000 clean batches, drawn from the generator of
+        # the stream seed and tag 8, as written out here.
+        payload = case_study_config_dict()
+        payload["stream"]["batch_size"] = 16
+        config = parse_run_config(payload)
+        rng = np.random.default_rng(derive_seed(42, 8))
+        accs = (rng.random((1000, 16)) < payload["oracle"]["ind_accuracy"]).mean(axis=1)
+        expected = float(np.percentile(accs, 1.0))
+        assert cli._simulate_threshold(config, config.stream.config) == expected
+
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "trace.csv"
+        assert main(["simulate", "--config", str(path), "--output", str(out)]) == EXIT_OK
+        with open(out, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        # 16ths print exactly at 9 significant digits.
+        assert [row["batch_correct"] for row in rows] == [
+            str(int(float(row["batch_accuracy"]) >= expected)) for row in rows
+        ]
+
 
 class TestMonitorCommand:
     def test_quiet_stream_no_alert(self, tmp_path, capsys):
@@ -151,6 +187,32 @@ class TestMonitorCommand:
         captured = capsys.readouterr()
         assert code == EXIT_DATA
         assert "line 3" in captured.err
+
+    def test_verdict_file_not_utf8(self, tmp_path, config_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"0\n1\n\xff\n1\n")
+        out = tmp_path / "out.csv"
+        code = main(["monitor", "--config", config_path, "--input", str(path),
+                     "--output", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err == "driftrisk: verdict stream: line 3: expected verdict 0 or 1, got '\\udcff'\n"
+        # The header and the rows of the two verdicts before line 3.
+        assert len(out.read_text().splitlines()) == 3
+
+    def test_piped_verdicts_not_utf8_under_strict_stdin(self, tmp_path, config_path):
+        # PYTHONIOENCODING=utf-8 makes stdin strict, as a UTF-8 locale does.
+        result = subprocess.run(
+            [sys.executable, "-m", "driftrisk", "monitor", "--config", config_path],
+            input=b"0\n1\n\xff\n1\n",
+            capture_output=True,
+            env=child_env(PYTHONIOENCODING="utf-8"),
+        )
+        assert result.returncode == EXIT_DATA
+        assert result.stderr.decode() == (
+            "driftrisk: verdict stream: line 3: expected verdict 0 or 1, got '\\udcff'\n"
+        )
+        assert len(result.stdout.decode().splitlines()) == 3
 
     def test_uninformative_detector_exit(self, tmp_path):
         payload = case_study_config_dict()
@@ -437,6 +499,49 @@ BAD_FIELD_VALUES = [
     # cba reads no rates, so an empty list stops only the kinds that do; an
     # optional fifth field names the sweep kind a row runs under (default cba).
     ("sweep", "rates", [], "grid needs at least one rate", "risk-curve"),
+    # Only risk-curve reads the risk horizon, which must exceed its trace length.
+    ("sweep", "risk_horizon", -5, "risk_horizon (-5) must exceed risk_trace_length (50)",
+     "risk-curve"),
+    ("sweep", "risk_horizon", 50, "risk_horizon (50) must exceed risk_trace_length (50)",
+     "risk-curve"),
+    # Out-of-range numbers: every one is worded by errors.check_range.
+    ("monitor", "prior_rate", 1.5, "prior_rate must be in [0, 1], got 1.5"),
+    ("monitor", "decay", 0, "decay must be in (0, 1], got 0"),
+    ("monitor", "trace_capacity", 0, "trace_capacity must be >= 1, got 0"),
+    ("monitor", "profile", {"tpr": 1.5, "tnr": 0.55}, "tpr must be in [0, 1], got 1.5"),
+    ("monitor", "profile", {"tpr": 0.95, "tnr": -0.1}, "tnr must be in [0, 1], got -0.1"),
+    (
+        "monitor",
+        "accuracies",
+        {"ind_neg": {"accuracy": 1.2, "support": 1}},
+        "accuracy for condition 'ind_neg' must be in [0, 1], got 1.2",
+    ),
+    (
+        "monitor",
+        "accuracies",
+        {"ind_neg": {"accuracy": 0.9, "support": -1}},
+        "support for condition 'ind_neg' must be >= 0, got -1",
+    ),
+    (
+        "monitor",
+        "costs",
+        {**CASE_STUDY_COSTS, "failed_detection": -1.0},
+        "cost for outcome 'failed_detection' must be >= 0, got -1.0",
+    ),
+    ("stream", "shift_rate", 1.5, "shift_rate must be in [0, 1], got 1.5"),
+    ("stream", "batch_size", 0, "batch_size must be >= 1, got 0"),
+    ("stream", "horizon", -1, "horizon must be >= 1, got -1"),
+    ("stream", "mixture_fraction", 1.5, "mixture_fraction must be in [0, 1], got 1.5"),
+    ("stream", "correct_threshold", 0, "correct_threshold must be in (0, 1], got 0"),
+    ("stream", "correct_threshold", 1.5, "correct_threshold must be in (0, 1], got 1.5"),
+    ("oracle", "ind_accuracy", 1.5, "ind_accuracy must be in [0, 1], got 1.5"),
+    ("oracle", "folds", [{"accuracy": 1.5}], "fold accuracy must be in [0, 1], got 1.5"),
+    (
+        "oracle",
+        "folds",
+        [{"accuracy": 0.5, "weight": -1.0}],
+        "fold weight must be >= 0, got -1.0",
+    ),
 ]
 
 
@@ -626,6 +731,35 @@ class TestCalibrateCommand:
         captured = capsys.readouterr()
         assert code == EXIT_DATA
         assert "is_ood" in captured.err
+
+    @pytest.mark.parametrize(
+        "content,message",
+        [
+            (
+                b"is_ood,verdict,is_correct\n1,1,1\n0,\xff,1\n",
+                "line 3, column verdict: expected a boolean 0/1 value, got '\\udcff'",
+            ),
+            (
+                b"is_ood,verdict,is_correct\n1,1,1\n0,0\n",
+                "line 3, column is_correct: missing value",
+            ),
+            (b"is_ood,verdict,is_correct\n1\n", "line 2, column is_correct: missing value"),
+            (
+                b'is_ood,verdict,is_correct\n1,1,1\n0,0,"' + b"x" * 200_000 + b'"\n',
+                "line 3: field larger than field limit (131072)",
+            ),
+        ],
+        ids=["not-utf8", "short-row", "one-field-row", "oversized-field"],
+    )
+    def test_bad_row_names_its_line(self, tmp_path, capsys, content, message):
+        path = tmp_path / "labeled.csv"
+        path.write_bytes(content)
+        out = tmp_path / "f.json"
+        code = main(["calibrate", "--input", str(path), "--output", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err == f"driftrisk: {message}\n"
+        assert not out.exists()
 
     def test_missing_class_diagnostic(self, tmp_path, capsys):
         labeled = self.write_labeled(tmp_path, [(1, 1, 0), (1, 0, 1)])

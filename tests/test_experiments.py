@@ -28,7 +28,9 @@ from driftrisk.experiments import (
     risk_curve,
     shifted_tree_params,
 )
-from driftrisk.simulation import AccuracyOracle
+from driftrisk.detectors import SyntheticDetector
+from driftrisk.monitor import Monitor, MonitorConfig
+from driftrisk.simulation import AccuracyOracle, StreamConfig, generate_stream, run_deployment
 
 from conftest import (
     CASE_STUDY_COSTS,
@@ -316,6 +318,21 @@ class TestAccuracyErrorSweep:
         cell = accuracy_error_sweep(grid, oracle).cells[0]
         assert cell.mae <= cell.extra["baseline_mae"] + 0.02
 
+    @pytest.mark.parametrize("batch_size,percentile", [(1, 1.0), (8, 1.0), (16, 5.0)])
+    def test_validation_threshold_rule(self, batch_size, percentile):
+        # Written out: batch size 1 is pinned at 0.5; larger batches take the
+        # percentile of validation_batches clean batch accuracies.
+        grid = SweepGrid(master_seed=3, validation_batches=400, percentile=percentile)
+        oracle = AccuracyOracle.single(0.85, 0.3)
+        expected = 0.5
+        if batch_size > 1:
+            rng = np.random.default_rng(
+                np.random.SeedSequence([3, experiments._VALIDATION_TAG, batch_size])
+            )
+            accs = (rng.random((400, batch_size)) < 0.85).mean(axis=1)
+            expected = float(np.percentile(accs, percentile))
+        assert experiments.validation_threshold(grid, oracle, batch_size) == expected
+
     def test_batched_accuracy_table_values(self):
         oracle = AccuracyOracle.single(0.9, 0.2)
         table, ind_eff, ood_eff = batched_accuracy_table(oracle, 1, 0.5)
@@ -378,6 +395,40 @@ class TestRiskCurve:
         for point in result.points:
             assert point.estimated_rv == pytest.approx(point.actual_rv, rel=0.08)
             assert point.estimated_base == pytest.approx(point.actual_base, rel=0.08)
+
+    @pytest.mark.parametrize("prior_rate", [0.5, 0.05])
+    def test_base_curve_equals_a_second_monitor(
+        self, case_study_oracle, case_study_profile, outcome_costs, prior_rate
+    ):
+        # The base curve evaluates the base tree at the rv monitor's rates.
+        # The reference runs a base Monitor over the same verdicts and
+        # prices the realized outcomes of its own trace.
+        rates = (0.0, 0.35, 0.8, 1.0)
+        result = risk_curve(
+            rates, case_study_oracle, case_study_profile, outcome_costs,
+            CASE_STUDY_THRESHOLD, horizon=700, trace_length=90, master_seed=21,
+            prior_rate=prior_rate,
+        )
+        table, _, _ = batched_accuracy_table(case_study_oracle, 1, 0.5)
+        for ri, (rate, point) in enumerate(zip(rates, result.points)):
+            stream = generate_stream(
+                StreamConfig(batch_size=1, shift_rate=rate, horizon=700,
+                             seed=derive_seed(21, experiments._RISK_CURVE_TAG, ri, 0)),
+                case_study_oracle,
+            )
+            detector = SyntheticDetector(
+                case_study_profile, experiments._cell_rng(21, experiments._RISK_CURVE_TAG, ri, 1)
+            )
+            base = run_deployment(
+                stream,
+                detector,
+                Monitor(MonitorConfig("base", case_study_profile, table, prior_rate,
+                                      dict(outcome_costs), trace_capacity=90)),
+                0.5,
+            )
+            start = base.warmup_end()
+            assert point.estimated_base == base.mean_expected_risk(start)
+            assert point.actual_base == base.realized_mean_cost(outcome_costs, False, start)
 
     def test_rows_and_crossings_exposed(self, case_study_oracle, case_study_profile, outcome_costs):
         result = risk_curve(
