@@ -33,7 +33,6 @@ from .errors import (
     ValidationError,
 )
 from .estimation import calibrate_profile, conditional_accuracy
-from .event_tree import TreeParams
 from .experiments import (
     accuracy_error_sweep,
     cba_surface,
@@ -289,18 +288,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise _CliError(EXIT_USAGE, "cba needs monitor costs")
         if sweep.operating_rate is None:
             raise _CliError(EXIT_USAGE, "cba needs sweep.operating_rate")
-        table = config.monitor.accuracies
-        params = TreeParams(
-            p_event=sweep.operating_rate,
-            accuracies=table.tree_accuracies(),
-            tpr=config.monitor.profile.tpr,
-            tnr=config.monitor.profile.tnr,
-            data_free=table.data_free_conditions(),
-        )
         result = cba_surface(
             sweep.classifier_deltas,
             sweep.detector_deltas,
-            params,
+            config.monitor.tree_params(sweep.operating_rate),
             config.monitor.costs,
         )
         io.write_rows_csv(output / "report.csv", result.rows, _CBA_REPORT_COLUMNS)

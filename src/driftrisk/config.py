@@ -9,7 +9,7 @@ typos fail loudly instead of silently running a different experiment.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ValidationError, check_fields, check_keys, check_range
@@ -24,9 +24,6 @@ SCHEMA_VERSION = 1
 class StreamSection:
     config: StreamConfig
     correct_threshold: float | None = None
-
-    def to_dict(self) -> dict:
-        return {**asdict(self.config), "correct_threshold": self.correct_threshold}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "StreamSection":
@@ -56,22 +53,12 @@ def oracle_from_dict(payload: dict) -> AccuracyOracle:
     return AccuracyOracle(ind_accuracy=payload["ind_accuracy"], folds=tuple(folds))
 
 
-def oracle_to_dict(oracle: AccuracyOracle) -> dict:
-    return {
-        "ind_accuracy": oracle.ind_accuracy,
-        "folds": [
-            {"name": fold.name, "accuracy": fold.accuracy, "weight": fold.weight}
-            for fold in oracle.folds
-        ],
-    }
-
-
-# Each optional section of the document, in parsing order: (parse, write).
+# Each optional section of the document and its parser, in parsing order.
 _SECTIONS = {
-    "monitor": (MonitorConfig.from_dict, MonitorConfig.to_dict),
-    "stream": (StreamSection.from_dict, StreamSection.to_dict),
-    "oracle": (oracle_from_dict, oracle_to_dict),
-    "sweep": (SweepGrid.from_dict, SweepGrid.to_dict),
+    "monitor": MonitorConfig.from_dict,
+    "stream": StreamSection.from_dict,
+    "oracle": oracle_from_dict,
+    "sweep": SweepGrid.from_dict,
 }
 
 
@@ -83,13 +70,6 @@ class RunConfig:
     stream: StreamSection | None = None
     oracle: AccuracyOracle | None = None
     sweep: SweepGrid | None = None
-
-    def to_dict(self) -> dict:
-        payload: dict = {"schema_version": SCHEMA_VERSION}
-        for name, (_, write) in _SECTIONS.items():
-            if getattr(self, name) is not None:
-                payload[name] = write(getattr(self, name))
-        return payload
 
     def require(self, *sections: str) -> None:
         missing = [name for name in sections if getattr(self, name) is None]
@@ -107,7 +87,7 @@ def parse_run_config(payload: dict) -> RunConfig:
             f"(expected {SCHEMA_VERSION})"
         )
     return RunConfig(
-        **{name: parse(payload[name]) for name, (parse, _) in _SECTIONS.items() if name in payload}
+        **{name: parse(payload[name]) for name, parse in _SECTIONS.items() if name in payload}
     )
 
 
@@ -121,9 +101,3 @@ def load_run_config(path: str | Path) -> RunConfig:
     if not isinstance(payload, dict):
         raise ValidationError(f"config {path}: top level must be an object")
     return parse_run_config(payload)
-
-
-def dump_run_config(config: RunConfig, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(config.to_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")

@@ -117,13 +117,6 @@ class TreeParams:
         for cond, acc in self.accuracies.items():
             check_range(f"accuracy[{cond.key}]", acc, 0, 1)
 
-    def accuracy_for(self, condition: Condition) -> float | None:
-        return self.accuracies.get(condition)
-
-    def with_overrides(self, **changes) -> "TreeParams":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **changes)
-
 
 @dataclass(frozen=True)
 class Leaf:
@@ -222,7 +215,7 @@ def build_base_tree(params: TreeParams, costs: CostModel | None = None) -> Event
         validate_costs(costs)
     subtrees = []
     for condition, weight in ((IND, 1.0 - params.p_event), (OOD, params.p_event)):
-        accuracy = params.accuracy_for(condition)
+        accuracy = params.accuracies.get(condition)
         if accuracy is None:
             raise ConfigurationError(
                 f"base topology requires an accuracy for condition {condition.key!r}"
@@ -265,7 +258,7 @@ def build_rv_tree(params: TreeParams, costs: CostModel | None = None) -> EventTr
         def subtree(cond: Condition, weight: float):
             if cond in params.data_free:
                 return None  # pruned: probability weight zero by declaration
-            accuracy = params.accuracy_for(cond)
+            accuracy = params.accuracies.get(cond)
             if accuracy is None:
                 if weight == 0.0:
                     return None  # unreachable, nothing to describe
@@ -486,15 +479,13 @@ def tree_parameters(tree: EventTree) -> tuple[str, ...]:
 
 def _rebuild_with(tree: EventTree, parameter: str, value: float) -> EventTree:
     params = tree.params
-    if parameter == "p_event":
-        params = params.with_overrides(p_event=value)
-    elif parameter in ("tpr", "tnr"):
-        params = params.with_overrides(**{parameter: value})
+    if parameter in ("p_event", "tpr", "tnr"):
+        params = replace(params, **{parameter: value})
     elif parameter.startswith("acc:"):
         condition = parse_condition(parameter[4:])
         accuracies = dict(params.accuracies)
         accuracies[condition] = value
-        params = params.with_overrides(accuracies=accuracies)
+        params = replace(params, accuracies=accuracies)
     else:
         raise ValidationError(f"unknown parameter id {parameter!r}")
     return build_tree(tree.topology, params)

@@ -55,6 +55,10 @@ _VALIDATION_TAG = 404
 # Verdicts per block of a rate-error cell: 2**16 draws are 512 KB of doubles.
 RATE_BLOCK_VERDICTS = 2**16
 
+# The sweep monitors' prior rate.  Sweep summaries start at warmup_end(),
+# the first batch estimated from the trace, so no output reads it.
+_SWEEP_PRIOR = 0.5
+
 
 def mae(truth: Sequence[float], estimate: Sequence[float]) -> float:
     """Mean absolute error between two equal-length sequences."""
@@ -98,7 +102,6 @@ class SweepGrid:
     uniform: bool = True
     mixture_fraction: float | None = None
     topology: str = "base"
-    prior_rate: float = 0.5
     percentile: float = 1.0
     validation_batches: int = 1000
     classifier_deltas: tuple[float, ...] = (0.0, 0.05, 0.1, 0.15, 0.2)
@@ -122,10 +125,9 @@ class SweepGrid:
             for value in getattr(self, name):
                 check_range(f"{name} entry", value, 0, 1)
         check_number("ba_floor", self.ba_floor)
-        check_range("prior_rate", self.prior_rate, 0, 1)
         check_range("percentile", self.percentile, 0, 100)
         if self.grid_step is not None:
-            check_number("grid_step", self.grid_step)
+            check_range("grid_step", self.grid_step, 0, 1, low_open=True)
         for name in ("mixture_fraction", "operating_rate"):
             if getattr(self, name) is not None:
                 check_range(name, getattr(self, name), 0, 1)
@@ -413,12 +415,14 @@ def accuracy_error_cell(
         return CellResult(axes, None, None, 0, refused=True)
     threshold = thresholds[bi]
     table, ind_eff, _ = batched_accuracy_table(oracle, batch_size, threshold)
-    config = MonitorConfig(
-        topology=grid.topology,
-        profile=profile,
-        accuracies=table,
-        trace_capacity=window,
-        prior_rate=grid.prior_rate,
+    monitor = Monitor(
+        MonitorConfig(
+            topology=grid.topology,
+            profile=profile,
+            accuracies=table,
+            trace_capacity=window,
+            prior_rate=_SWEEP_PRIOR,
+        )
     )
     method_errors = []
     baseline_errors = []
@@ -436,7 +440,7 @@ def accuracy_error_cell(
             oracle,
         )
         detector = SyntheticDetector(profile, _cell_rng(grid.master_seed, *coords_k, 1))
-        trace = run_deployment(stream, detector, Monitor(config), threshold)
+        trace = run_deployment(stream, detector, monitor, threshold)
         start = trace.warmup_end()
         realized = trace.realized_accuracy(start)
         method_errors.append(trace.mean_expected_accuracy(start) - realized)
@@ -542,7 +546,6 @@ def risk_curve(
     horizon: int = 4000,
     trace_length: int = 500,
     master_seed: int = 0,
-    prior_rate: float = 0.5,
 ) -> RiskCurveResult:
     """Estimated and realized per-batch risk versus true shift rate.
 
@@ -561,9 +564,10 @@ def risk_curve(
         profile=profile,
         accuracies=table,
         trace_capacity=trace_length,
-        prior_rate=prior_rate,
+        prior_rate=_SWEEP_PRIOR,
         costs=dict(costs),
     )
+    rv_monitor = Monitor(rv_config)
     # The base system sees the same batches and verdicts, so the same rate
     # estimates; only the tree differs.
     evaluate_base = Monitor(replace(rv_config, topology="base")).evaluate
@@ -580,7 +584,7 @@ def risk_curve(
             oracle,
         )
         detector = SyntheticDetector(profile, _cell_rng(master_seed, _RISK_CURVE_TAG, ri, 1))
-        rv = run_deployment(stream, detector, Monitor(rv_config), 0.5)
+        rv = run_deployment(stream, detector, rv_monitor, 0.5)
         start = rv.warmup_end()
         _, base_risks = evaluate_base(rv.assessments.corrected[start:])
         points.append(
@@ -620,7 +624,8 @@ def shifted_tree_params(
     accuracies = {
         cond: min(1.0, acc + classifier_delta) for cond, acc in params.accuracies.items()
     }
-    return params.with_overrides(
+    return replace(
+        params,
         accuracies=accuracies,
         tpr=min(1.0, params.tpr + detector_delta),
         tnr=min(1.0, params.tnr + detector_delta),

@@ -15,13 +15,16 @@ window newest first as one slice of the trace's ring and adds up its
 weights with one sequential ``np.add.accumulate``, which rounds exactly as
 the ``weighted_mean`` loop does; ``observe_many`` reads the same tables.
 
-Two entry points share that arithmetic.  :meth:`Monitor.observe` takes one
+Three entry points share that arithmetic.  :meth:`Monitor.observe` takes one
 verdict and returns an :class:`Assessment`; it serves a live pipe, one
-reply per verdict.  :meth:`Monitor.observe_many` takes a whole verdict
-array (a simulated deployment, or a chunk of a recorded verdict file) and
-returns one :class:`Assessments` of arrays, computed with numpy in the same
-floating-point operations and order as the ``observe`` loop, so every
-entry and the monitor's final state equal that loop's bit for bit.
+reply per verdict.  :meth:`Monitor.assess` takes a whole verdict array (a
+simulated deployment, or a chunk of a recorded verdict file) and the
+window before it, and returns one :class:`Assessments` of arrays, computed
+with numpy in the same floating-point operations and order as the
+``observe`` loop, so every entry equals that loop's bit for bit; it leaves
+the monitor as it was, so one monitor serves any number of simulated
+deployments of its configuration.  :meth:`Monitor.observe_many` assesses
+an array after the monitor's own window and then adds it to the window.
 
 Monitors are deliberately free of randomness: their full state is the
 config plus the trace window, which is what makes snapshot/restore exact.
@@ -105,6 +108,16 @@ class MonitorConfig:
     def effective_min_fill(self) -> int:
         return self.trace_capacity if self.min_fill is None else self.min_fill
 
+    def tree_params(self, p_event: float) -> TreeParams:
+        """The parameters of this configuration's tree at one event rate."""
+        return TreeParams(
+            p_event=p_event,
+            accuracies=self.accuracies.tree_accuracies(),
+            tpr=self.profile.tpr,
+            tnr=self.profile.tnr,
+            data_free=self.accuracies.data_free_conditions(),
+        )
+
     def to_dict(self) -> dict:
         return {
             "topology": self.topology,
@@ -170,7 +183,8 @@ def _verdict_array(verdicts: np.ndarray) -> np.ndarray:
     if values.ndim != 1:
         raise ValidationError(f"verdicts must be a 1-D array, got shape {values.shape}")
     if values.dtype != bool:
-        if values.dtype.kind not in "iuf" or not np.isin(values, (0, 1)).all():
+        # Not np.isin: its first call imports numpy.ma, about 2 MB of RSS.
+        if values.dtype.kind not in "iuf" or not ((values == 0) | (values == 1)).all():
             raise ValidationError("verdicts must be 0 or 1")
         values = values.astype(bool)
     return values
@@ -198,14 +212,7 @@ class Monitor:
         # unpriced reachable leaves surface at construction time, and
         # compile: every later rate reuses the same leaf table.  evaluate is
         # CompiledTree.evaluate, for callers that have rates but no verdicts.
-        params = TreeParams(
-            p_event=config.prior_rate,
-            accuracies=config.accuracies.tree_accuracies(),
-            tpr=config.profile.tpr,
-            tnr=config.profile.tnr,
-            data_free=config.accuracies.data_free_conditions(),
-        )
-        tree = build_tree(config.topology, params, config.costs)
+        tree = build_tree(config.topology, config.tree_params(config.prior_rate), config.costs)
         self.evaluate = compile_tree(tree, priced=config.costs is not None).evaluate
 
     def observe(self, verdict: bool) -> Assessment:
@@ -256,11 +263,23 @@ class Monitor:
         tree evaluation raises, the monitor is left unchanged.
         """
         new = _verdict_array(verdicts)
+        assessments = self.assess(new, self.trace.newest_first()[::-1])
+        self.trace.extend(new)
+        return assessments
+
+    def assess(self, verdicts: np.ndarray, window: np.ndarray = ()) -> Assessments:
+        """Assess an array of verdicts (bool, or 0/1) that follow a window.
+
+        ``window`` holds the verdicts seen before, oldest first.  The
+        entries equal what :meth:`observe_many` returns on a monitor whose
+        trace holds that window; this monitor is left unchanged.
+        """
+        new = _verdict_array(verdicts)
         config = self.config
         capacity = config.trace_capacity
-        # The restored window, oldest first, then the new verdicts: verdict
-        # i sits at seq[start + i] and its window is seq[end[i] - fill[i]:end[i]].
-        seq = np.concatenate([self.trace.newest_first()[::-1], new])
+        # The window, oldest first, then the new verdicts: verdict i sits
+        # at seq[start + i] and its window is seq[end[i] - fill[i]:end[i]].
+        seq = np.concatenate([_verdict_array(window), new])
         start = len(seq) - len(new)
         end = np.arange(start + 1, len(seq) + 1)
         fill = np.minimum(end, capacity)
@@ -283,7 +302,6 @@ class Monitor:
             alert = risk > config.risk_threshold
         else:
             alert = np.zeros(len(new), dtype=bool)
-        self.trace.extend(new)
         return Assessments(
             raw_mean=raw,
             corrected=corrected,

@@ -2,7 +2,7 @@
 
 Streams and monitored traces are arrays with one entry per batch: a
 deployment draws all its verdicts with one ``judge_many`` call and
-assesses them with one ``Monitor.observe_many`` call.  Shift
+assesses them with one ``Monitor.assess`` call.  Shift
 events are Bernoulli per batch; a shifted batch is filled with event (OOD)
 samples drawn from one of the oracle's folds, entirely in uniform mode or
 per-sample at a mixture fraction otherwise.  Per-sample correctness is a
@@ -314,7 +314,9 @@ def run_deployment(
 
     All verdicts come from one judge_many draw, which equals a judge_batch
     call per batch on the same generator, and the monitor assesses them in
-    one observe_many call, which equals an observe call per batch.
+    one assess call, which equals an observe call per batch on a fresh
+    monitor.  The monitor itself is left unchanged, so one monitor serves
+    every deployment of its configuration.
     """
     is_ood = stream.is_ood
     verdicts = detector.judge_many(is_ood)
@@ -324,5 +326,5 @@ def run_deployment(
         verdict=verdicts,
         batch_accuracy=accuracy,
         batch_correct=accuracy >= correct_threshold,
-        assessments=monitor.observe_many(verdicts),
+        assessments=monitor.assess(verdicts),
     )

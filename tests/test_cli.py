@@ -487,7 +487,9 @@ BAD_FIELD_VALUES = [
     ("sweep", "validation_batches", 0, "validation_batches must be >= 1, got 0"),
     ("sweep", "risk_trace_length", 0, "risk_trace_length must be >= 1, got 0"),
     ("sweep", "percentile", 101, "percentile must be in [0, 100], got 101"),
-    ("sweep", "prior_rate", 1.5, "prior_rate must be in [0, 1], got 1.5"),
+    # The sweep monitors' prior never reaches an output, so it is no key.
+    ("sweep", "prior_rate", 0.5, "unknown keys in sweep: ['prior_rate']"),
+    ("sweep", "grid_step", 0, "grid_step must be in (0, 1], got 0"),
     ("sweep", "operating_rate", -0.1, "operating_rate must be in [0, 1], got -0.1"),
     ("sweep", "rates", [1.5], "rates entry must be in [0, 1], got 1.5"),
     ("sweep", "rates", None, "rates must be a list, got None"),

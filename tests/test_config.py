@@ -1,4 +1,4 @@
-"""Run-config parsing: strictness, validation, lossless round-trips."""
+"""Run-config parsing: strictness and validation."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import pytest
 
 from driftrisk.config import (
     RunConfig,
-    dump_run_config,
     load_run_config,
     parse_run_config,
 )
@@ -81,19 +80,6 @@ class TestParsing:
         assert config.oracle is not None
         with pytest.raises(ValidationError, match="monitor"):
             config.require("monitor")
-
-
-class TestRoundTrip:
-    def test_lossless(self, tmp_path):
-        first = load_run_config(write_config(tmp_path, case_study_config_dict()))
-        dump_run_config(first, tmp_path / "echo.json")
-        second = load_run_config(tmp_path / "echo.json")
-        assert first == second
-        assert first.to_dict() == second.to_dict()
-
-    def test_dict_round_trip(self):
-        config = parse_run_config(case_study_config_dict())
-        assert parse_run_config(config.to_dict()) == config
 
 
 class TestSweepGrid:

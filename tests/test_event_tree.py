@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -324,7 +326,7 @@ class TestSensitivity:
             tree = build_rv_tree(params)
             assert sensitivity(tree, "p_event") == pytest.approx(
                 sensitivity(
-                    build_rv_tree(params.with_overrides(p_event=0.2)), "p_event"
+                    build_rv_tree(replace(params, p_event=0.2)), "p_event"
                 ),
                 abs=1e-12,
             )
@@ -336,7 +338,7 @@ class TestSensitivity:
 
         def risk_at(p):
             return expected_risk(
-                build_rv_tree(params.with_overrides(p_event=p)), outcome_costs
+                build_rv_tree(replace(params, p_event=p)), outcome_costs
             )
 
         assert risk_at(0.5) == pytest.approx((risk_at(0.0) + risk_at(1.0)) / 2, rel=1e-12)
@@ -352,16 +354,14 @@ class TestSensitivity:
 def _central_difference(topology, params, parameter, costs, h):
     def value_at(shift):
         if parameter == "p_event":
-            shifted = params.with_overrides(p_event=params.p_event + shift)
+            shifted = replace(params, p_event=params.p_event + shift)
         elif parameter in ("tpr", "tnr"):
-            shifted = params.with_overrides(
-                **{parameter: getattr(params, parameter) + shift}
-            )
+            shifted = replace(params, **{parameter: getattr(params, parameter) + shift})
         else:
             condition = parse_condition(parameter[4:])
             accuracies = dict(params.accuracies)
             accuracies[condition] += shift
-            shifted = params.with_overrides(accuracies=accuracies)
+            shifted = replace(params, accuracies=accuracies)
         tree = build_tree(topology, shifted)
         if costs is None:
             return expected_accuracy(tree)

@@ -318,6 +318,60 @@ class TestAccuracyErrorSweep:
         cell = accuracy_error_sweep(grid, oracle).cells[0]
         assert cell.mae <= cell.extra["baseline_mae"] + 0.02
 
+    @pytest.mark.parametrize("topology", ["base", "rv"])
+    @pytest.mark.parametrize("prior_rate", [0.5, 0.05])
+    def test_cell_equals_a_monitor_per_seed(self, case_study_oracle, topology, prior_rate):
+        # The cell assesses every seed with one monitor.  The reference
+        # builds a fresh Monitor per seed, at a prior rate of its own: the
+        # summaries start at the warm-up end, so the prior never shows.
+        grid = SweepGrid(
+            rates=(0.2, 0.7),
+            profiles=(DetectorProfile(0.9, 0.8), DetectorProfile(0.7, 0.6)),
+            batch_sizes=(1, 4),
+            trace_lengths=(30,),
+            seeds_per_cell=4,
+            horizon=120,
+            master_seed=17,
+            topology=topology,
+        )
+        thresholds = tuple(
+            experiments.validation_threshold(grid, case_study_oracle, size)
+            for size in grid.batch_sizes
+        )
+        for bi, batch_size in enumerate(grid.batch_sizes):
+            table, ind_eff, _ = batched_accuracy_table(
+                case_study_oracle, batch_size, thresholds[bi]
+            )
+            for pi, profile in enumerate(grid.profiles):
+                for ri, rate in enumerate(grid.rates):
+                    method, baseline = [], []
+                    for k in range(grid.seeds_per_cell):
+                        coords = (experiments._ACCURACY_SWEEP_TAG, bi, 0, pi, ri, k)
+                        stream = generate_stream(
+                            StreamConfig(batch_size=batch_size, shift_rate=rate,
+                                         horizon=120, seed=derive_seed(17, *coords, 0)),
+                            case_study_oracle,
+                        )
+                        detector = SyntheticDetector(
+                            profile, experiments._cell_rng(17, *coords, 1)
+                        )
+                        monitor = Monitor(MonitorConfig(topology, profile, table, prior_rate,
+                                                        trace_capacity=30))
+                        trace = run_deployment(stream, detector, monitor, thresholds[bi])
+                        start = trace.warmup_end()
+                        realized = trace.realized_accuracy(start)
+                        method.append(trace.mean_expected_accuracy(start) - realized)
+                        baseline.append(ind_eff - realized)
+                    cell = experiments.accuracy_error_cell(
+                        grid, case_study_oracle, thresholds, (bi, 0, pi, ri)
+                    )
+                    errors = np.array(method)
+                    assert cell.mae == float(np.mean(np.abs(errors)))
+                    assert cell.mean_signed_error == float(np.mean(errors))
+                    assert cell.extra["baseline_mae"] == float(
+                        np.mean(np.abs(np.array(baseline)))
+                    )
+
     @pytest.mark.parametrize("batch_size,percentile", [(1, 1.0), (8, 1.0), (16, 5.0)])
     def test_validation_threshold_rule(self, batch_size, percentile):
         # Written out: batch size 1 is pinned at 0.5; larger batches take the
@@ -396,9 +450,8 @@ class TestRiskCurve:
             assert point.estimated_rv == pytest.approx(point.actual_rv, rel=0.08)
             assert point.estimated_base == pytest.approx(point.actual_base, rel=0.08)
 
-    @pytest.mark.parametrize("prior_rate", [0.5, 0.05])
     def test_base_curve_equals_a_second_monitor(
-        self, case_study_oracle, case_study_profile, outcome_costs, prior_rate
+        self, case_study_oracle, case_study_profile, outcome_costs
     ):
         # The base curve evaluates the base tree at the rv monitor's rates.
         # The reference runs a base Monitor over the same verdicts and
@@ -407,7 +460,6 @@ class TestRiskCurve:
         result = risk_curve(
             rates, case_study_oracle, case_study_profile, outcome_costs,
             CASE_STUDY_THRESHOLD, horizon=700, trace_length=90, master_seed=21,
-            prior_rate=prior_rate,
         )
         table, _, _ = batched_accuracy_table(case_study_oracle, 1, 0.5)
         for ri, (rate, point) in enumerate(zip(rates, result.points)):
@@ -422,7 +474,7 @@ class TestRiskCurve:
             base = run_deployment(
                 stream,
                 detector,
-                Monitor(MonitorConfig("base", case_study_profile, table, prior_rate,
+                Monitor(MonitorConfig("base", case_study_profile, table, 0.5,
                                       dict(outcome_costs), trace_capacity=90)),
                 0.5,
             )

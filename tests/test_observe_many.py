@@ -1,17 +1,19 @@
-"""Monitor.observe_many against a loop of Monitor.observe.
+"""Monitor.observe_many against a loop of Monitor.observe, and Monitor.assess.
 
 Every column of the array result must equal the loop's assessments with
 ``==`` (never approx), and the monitor must end in the state the loop
 leaves, compared through ``snapshot()``.  Covered: both topologies, both
 intervention modes, priced and unpriced, decay 1 and below, min_fill
 below capacity, restored windows and calls split mid-stream.
+``assess`` must return what ``observe_many`` returns after the same
+window, and leave its monitor's snapshot as it was.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from driftrisk.errors import ConfigurationError, ValidationError
@@ -19,7 +21,7 @@ from driftrisk.estimation import AccuracyCell, ConditionalAccuracyTable, Detecto
 from driftrisk.event_tree import IND, IND_NEG, IND_POS, OOD, OOD_NEG, OOD_POS, OUTCOMES
 from driftrisk.monitor import Monitor, MonitorConfig
 
-from conftest import make_full_table
+from conftest import CASE_STUDY_COSTS, CASE_STUDY_THRESHOLD, make_full_table
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, database=None)
 
@@ -153,6 +155,61 @@ def test_restored_monitor_continues_like_the_original(case):
         return
     assert array_columns(restored.observe_many(np.array(verdicts, dtype=bool))) == expected
     assert restored.snapshot() == original.snapshot()
+
+
+def alerting_case(decay: float, min_fill: int | None):
+    """A priced rv case whose threshold some verdicts cross, with a window."""
+    config = MonitorConfig(
+        topology="rv",
+        profile=DetectorProfile(0.9, 0.8),
+        accuracies=make_full_table(0.9, 0.4),
+        prior_rate=0.3,
+        costs=dict(CASE_STUDY_COSTS),
+        trace_capacity=8,
+        min_fill=min_fill,
+        risk_threshold=CASE_STUDY_THRESHOLD,
+        decay=decay,
+    )
+    verdicts = [False] * 4 + [True] + [False] * 3 + [True] * 8 + [False] * 2
+    return config, [True, False, True], verdicts
+
+
+@PROPERTY_SETTINGS
+@given(case=monitor_cases())
+@example(case=alerting_case(1.0, None))
+@example(case=alerting_case(1.0, 3))
+@example(case=alerting_case(0.9, None))
+@example(case=alerting_case(0.9, 3))
+def test_assess_equals_observe_many_and_changes_nothing(case):
+    config, window, verdicts = case
+    new = np.array(verdicts, dtype=bool)
+    restored = Monitor(config, _window=window)
+    before = restored.snapshot()
+    try:
+        fresh = array_columns(Monitor(config).observe_many(new))
+        after_window = array_columns(Monitor(config, _window=window).observe_many(new))
+    except ConfigurationError:
+        # "excluded" with every reachable leaf an intervention at this rate.
+        with pytest.raises(ConfigurationError):
+            restored.assess(new)
+        with pytest.raises(ConfigurationError):
+            restored.assess(new, np.array(window, dtype=bool))
+        assert restored.snapshot() == before
+        return
+    # With no window, assess starts where a fresh monitor does: the
+    # restored window is not read.
+    assert array_columns(restored.assess(new)) == fresh
+    assert array_columns(restored.assess(new, np.array(window, dtype=bool))) == after_window
+    assert restored.snapshot() == before
+
+
+def test_alerting_case_alerts_on_some_verdicts():
+    # The explicit examples above exercise the alert column both ways.
+    for decay in (1.0, 0.9):
+        for min_fill in (None, 3):
+            config, _, verdicts = alerting_case(decay, min_fill)
+            alert = Monitor(config).observe_many(np.array(verdicts)).alert
+            assert alert.any() and not alert.all()
 
 
 def case_monitor(**overrides) -> Monitor:

@@ -326,6 +326,29 @@ class TestRunDeployment:
                 getattr(a.assessments, field.name), getattr(b.assessments, field.name)
             ), field.name
 
+    def test_monitor_is_left_unchanged(self):
+        # A deployment is assessed from an empty window and never pushes its
+        # verdicts into the monitor, so one monitor serves many deployments.
+        oracle = simple_oracle()
+        profile = DetectorProfile(0.8, 0.7)
+        shared = make_monitor(profile, capacity=40)
+        before = shared.snapshot()
+        for seed in (24, 25):
+            stream = generate_stream(
+                StreamConfig(batch_size=1, shift_rate=0.4, horizon=200, seed=seed), oracle
+            )
+            reused = run_deployment(stream, SyntheticDetector(profile, seed=seed), shared, 0.5)
+            assert shared.snapshot() == before
+            fresh = run_deployment(
+                stream, SyntheticDetector(profile, seed=seed),
+                make_monitor(profile, capacity=40), 0.5,
+            )
+            for field in dataclasses.fields(reused.assessments):
+                assert np.array_equal(
+                    getattr(reused.assessments, field.name),
+                    getattr(fresh.assessments, field.name),
+                ), field.name
+
     def test_suffix_windows(self):
         oracle = simple_oracle()
         stream = generate_stream(
