@@ -18,13 +18,13 @@ the ``weighted_mean`` loop does; ``observe_many`` reads the same tables.
 Three entry points share that arithmetic.  :meth:`Monitor.observe` takes one
 verdict and returns an :class:`Assessment`; it serves a live pipe, one
 reply per verdict.  :meth:`Monitor.assess` takes a whole verdict array (a
-simulated deployment, or a chunk of a recorded verdict file) and the
-window before it, and returns one :class:`Assessments` of arrays, computed
+simulated deployment, or a chunk of a recorded verdict file) and returns
+one :class:`Assessments` of arrays after the monitor's window, computed
 with numpy in the same floating-point operations and order as the
 ``observe`` loop, so every entry equals that loop's bit for bit; it leaves
-the monitor as it was, so one monitor serves any number of simulated
+the monitor as it was, so one fresh monitor serves any number of simulated
 deployments of its configuration.  :meth:`Monitor.observe_many` assesses
-an array after the monitor's own window and then adds it to the window.
+an array the same way and then adds it to the window.
 
 Monitors are deliberately free of randomness: their full state is the
 config plus the trace window, which is what makes snapshot/restore exact.
@@ -183,8 +183,7 @@ def _verdict_array(verdicts: np.ndarray) -> np.ndarray:
     if values.ndim != 1:
         raise ValidationError(f"verdicts must be a 1-D array, got shape {values.shape}")
     if values.dtype != bool:
-        # Not np.isin: its first call imports numpy.ma, about 2 MB of RSS.
-        if values.dtype.kind not in "iuf" or not ((values == 0) | (values == 1)).all():
+        if values.dtype.kind not in "iuf" or not np.isin(values, (0, 1)).all():
             raise ValidationError("verdicts must be 0 or 1")
         values = values.astype(bool)
     return values
@@ -263,23 +262,23 @@ class Monitor:
         tree evaluation raises, the monitor is left unchanged.
         """
         new = _verdict_array(verdicts)
-        assessments = self.assess(new, self.trace.newest_first()[::-1])
+        assessments = self.assess(new)
         self.trace.extend(new)
         return assessments
 
-    def assess(self, verdicts: np.ndarray, window: np.ndarray = ()) -> Assessments:
-        """Assess an array of verdicts (bool, or 0/1) that follow a window.
+    def assess(self, verdicts: np.ndarray) -> Assessments:
+        """Assess an array of verdicts (bool, or 0/1) after this monitor's window.
 
-        ``window`` holds the verdicts seen before, oldest first.  The
-        entries equal what :meth:`observe_many` returns on a monitor whose
-        trace holds that window; this monitor is left unchanged.
+        The entries equal what :meth:`observe_many` returns on the same
+        verdicts, but the monitor is left unchanged: the verdicts are not
+        added to its window.
         """
         new = _verdict_array(verdicts)
         config = self.config
         capacity = config.trace_capacity
-        # The window, oldest first, then the new verdicts: verdict i sits
-        # at seq[start + i] and its window is seq[end[i] - fill[i]:end[i]].
-        seq = np.concatenate([_verdict_array(window), new])
+        # The monitor's window, oldest first, then the new verdicts: verdict
+        # i sits at seq[start + i] and its window is seq[end[i] - fill[i]:end[i]].
+        seq = np.concatenate([self.trace.newest_first()[::-1], new])
         start = len(seq) - len(new)
         end = np.arange(start + 1, len(seq) + 1)
         fill = np.minimum(end, capacity)

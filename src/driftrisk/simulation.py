@@ -314,9 +314,9 @@ def run_deployment(
 
     All verdicts come from one judge_many draw, which equals a judge_batch
     call per batch on the same generator, and the monitor assesses them in
-    one assess call, which equals an observe call per batch on a fresh
-    monitor.  The monitor itself is left unchanged, so one monitor serves
-    every deployment of its configuration.
+    one assess call, which equals an observe call per batch.  The monitor
+    itself is left unchanged, so one monitor serves every deployment of its
+    configuration.
     """
     is_ood = stream.is_ood
     verdicts = detector.judge_many(is_ood)

@@ -183,24 +183,18 @@ def alerting_case(decay: float, min_fill: int | None):
 def test_assess_equals_observe_many_and_changes_nothing(case):
     config, window, verdicts = case
     new = np.array(verdicts, dtype=bool)
-    restored = Monitor(config, _window=window)
-    before = restored.snapshot()
-    try:
-        fresh = array_columns(Monitor(config).observe_many(new))
-        after_window = array_columns(Monitor(config, _window=window).observe_many(new))
-    except ConfigurationError:
-        # "excluded" with every reachable leaf an intervention at this rate.
-        with pytest.raises(ConfigurationError):
-            restored.assess(new)
-        with pytest.raises(ConfigurationError):
-            restored.assess(new, np.array(window, dtype=bool))
-        assert restored.snapshot() == before
-        return
-    # With no window, assess starts where a fresh monitor does: the
-    # restored window is not read.
-    assert array_columns(restored.assess(new)) == fresh
-    assert array_columns(restored.assess(new, np.array(window, dtype=bool))) == after_window
-    assert restored.snapshot() == before
+    for start in ([], window):
+        monitor = Monitor(config, _window=start)
+        before = monitor.snapshot()
+        try:
+            expected = array_columns(Monitor(config, _window=start).observe_many(new))
+        except ConfigurationError:
+            # "excluded" with every reachable leaf an intervention at this rate.
+            with pytest.raises(ConfigurationError):
+                monitor.assess(new)
+        else:
+            assert array_columns(monitor.assess(new)) == expected
+        assert monitor.snapshot() == before
 
 
 def test_alerting_case_alerts_on_some_verdicts():

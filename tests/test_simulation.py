@@ -327,8 +327,8 @@ class TestRunDeployment:
             ), field.name
 
     def test_monitor_is_left_unchanged(self):
-        # A deployment is assessed from an empty window and never pushes its
-        # verdicts into the monitor, so one monitor serves many deployments.
+        # A deployment never pushes its verdicts into the monitor's window,
+        # so one monitor serves many deployments.
         oracle = simple_oracle()
         profile = DetectorProfile(0.8, 0.7)
         shared = make_monitor(profile, capacity=40)
