@@ -25,13 +25,7 @@ import numpy as np
 
 from . import io
 from .config import RunConfig, SCHEMA_VERSION, load_run_config
-from .errors import (
-    CalibrationError,
-    DriftRiskError,
-    SnapshotError,
-    UninformativeDetectorError,
-    ValidationError,
-)
+from .errors import DriftRiskError, UninformativeDetectorError, ValidationError
 from .estimation import calibrate_profile, conditional_accuracy
 from .experiments import (
     accuracy_error_sweep,
@@ -231,75 +225,70 @@ _CBA_REPORT_COLUMNS = ("classifier_delta", "detector_delta", "risk")
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    """Run one sweep kind and write its report.csv and metadata.json.
+
+    Every config error stops the command before the output directory is
+    made, so a sweep that fails leaves nothing behind.
+    """
     config = _load_config(args.config)
     _require(config, "sweep")
     master_seed = config.sweep.master_seed if args.seed is None else args.seed
-    try:
-        sweep = replace(config.sweep, master_seed=master_seed)
-        if args.kind in ("rate-error", "accuracy-error"):
-            sweep = sweep.for_error_sweep()
-        elif args.kind == "risk-curve":
-            sweep.require_risk_curve()
-    except ValidationError as exc:
-        raise _CliError(EXIT_USAGE, f"config error: {exc}") from exc
-    output = Path(args.output)
-    output.mkdir(parents=True, exist_ok=True)
     metadata = {
         "schema_version": SCHEMA_VERSION,
         "kind": args.kind,
-        "master_seed": sweep.master_seed,
+        "master_seed": master_seed,
         "grid": config.sweep.to_dict(),
     }
-
-    if args.kind == "rate-error":
-        report = rate_error_sweep(sweep, jobs=args.jobs)
-        io.write_rows_csv(output / "report.csv", report.to_rows(), _RATE_REPORT_COLUMNS)
-    elif args.kind == "accuracy-error":
-        _require(config, "oracle")
-        report = accuracy_error_sweep(sweep, config.oracle, jobs=args.jobs)
-        io.write_rows_csv(
-            output / "report.csv", report.to_rows(), _ACCURACY_REPORT_COLUMNS
-        )
-    elif args.kind == "risk-curve":
-        _require(config, "oracle", "monitor")
-        if config.monitor.costs is None or config.monitor.risk_threshold is None:
-            raise _CliError(
-                EXIT_USAGE, "risk-curve needs monitor costs and risk_threshold"
+    try:
+        sweep = replace(config.sweep, master_seed=master_seed)
+        if args.kind == "rate-error":
+            columns = _RATE_REPORT_COLUMNS
+            rows = rate_error_sweep(sweep, jobs=args.jobs).to_rows()
+        elif args.kind == "accuracy-error":
+            _require(config, "oracle")
+            columns = _ACCURACY_REPORT_COLUMNS
+            rows = accuracy_error_sweep(sweep, config.oracle, jobs=args.jobs).to_rows()
+        elif args.kind == "risk-curve":
+            _require(config, "oracle", "monitor")
+            if config.monitor.costs is None or config.monitor.risk_threshold is None:
+                raise _CliError(
+                    EXIT_USAGE, "risk-curve needs monitor costs and risk_threshold"
+                )
+            result = risk_curve(
+                sweep,
+                config.oracle,
+                config.monitor.profile,
+                config.monitor.costs,
+                config.monitor.risk_threshold,
             )
-        result = risk_curve(
-            sweep.rates,
-            config.oracle,
-            config.monitor.profile,
-            config.monitor.costs,
-            config.monitor.risk_threshold,
-            horizon=sweep.risk_horizon,
-            trace_length=sweep.risk_trace_length,
-            master_seed=sweep.master_seed,
-        )
-        rows = [{"kind": "point", **row} for row in result.to_rows()]
-        for curve, rate in sorted(result.crossings.items()):
-            rows.append({"kind": f"crossing_{curve}", "rate": rate})
-        io.write_rows_csv(output / "report.csv", rows, _RISK_REPORT_COLUMNS)
-        metadata["crossings"] = result.crossings
-        metadata["threshold"] = result.threshold
-    elif args.kind == "cba":
-        _require(config, "monitor")
-        if config.monitor.costs is None:
-            raise _CliError(EXIT_USAGE, "cba needs monitor costs")
-        if sweep.operating_rate is None:
-            raise _CliError(EXIT_USAGE, "cba needs sweep.operating_rate")
-        result = cba_surface(
-            sweep.classifier_deltas,
-            sweep.detector_deltas,
-            config.monitor.tree_params(sweep.operating_rate),
-            config.monitor.costs,
-        )
-        io.write_rows_csv(output / "report.csv", result.rows, _CBA_REPORT_COLUMNS)
-        metadata["detector_marginal"] = result.detector_marginal
-        metadata["classifier_marginal"] = result.classifier_marginal
-    else:  # pragma: no cover - argparse choices guard this
-        raise _CliError(EXIT_USAGE, f"unknown sweep kind {args.kind!r}")
+            columns = _RISK_REPORT_COLUMNS
+            rows = [{"kind": "point", **row} for row in result.to_rows()]
+            for curve, rate in sorted(result.crossings.items()):
+                rows.append({"kind": f"crossing_{curve}", "rate": rate})
+            metadata["crossings"] = result.crossings
+            metadata["threshold"] = result.threshold
+        else:  # cba; the parser accepts no other kind
+            _require(config, "monitor")
+            if config.monitor.costs is None:
+                raise _CliError(EXIT_USAGE, "cba needs monitor costs")
+            if sweep.operating_rate is None:
+                raise _CliError(EXIT_USAGE, "cba needs sweep.operating_rate")
+            result = cba_surface(
+                sweep.classifier_deltas,
+                sweep.detector_deltas,
+                config.monitor.tree_params(sweep.operating_rate),
+                config.monitor.costs,
+            )
+            columns = _CBA_REPORT_COLUMNS
+            rows = result.rows
+            metadata["detector_marginal"] = result.detector_marginal
+            metadata["classifier_marginal"] = result.classifier_marginal
+    except ValidationError as exc:
+        raise _CliError(EXIT_USAGE, f"config error: {exc}") from exc
 
+    output = Path(args.output)
+    output.mkdir(parents=True, exist_ok=True)
+    io.write_rows_csv(output / "report.csv", rows, columns)
     io.write_json(output / "metadata.json", metadata)
     return EXIT_OK
 
@@ -309,17 +298,12 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         records = io.read_labeled_records(args.input)
     except FileNotFoundError:
         raise _CliError(EXIT_DATA, f"labeled data file not found: {args.input}") from None
-    except (CalibrationError, ValidationError) as exc:
-        raise _CliError(EXIT_DATA, str(exc)) from exc
     judged = [(verdict, is_ood) for is_ood, verdict, _ in records if verdict is not None]
     if not judged:
         raise _CliError(
             EXIT_DATA, "labeled data has no verdict values; cannot calibrate a profile"
         )
-    try:
-        profile = calibrate_profile(judged)
-    except CalibrationError as exc:
-        raise _CliError(EXIT_DATA, str(exc)) from exc
+    profile = calibrate_profile(judged)
     table = conditional_accuracy(records)
     fragment = {
         "schema_version": SCHEMA_VERSION,
@@ -397,9 +381,6 @@ def main(argv: list[str] | None = None) -> int:
     except UninformativeDetectorError as exc:
         print(f"driftrisk: {exc}", file=sys.stderr)
         return EXIT_UNINFORMATIVE
-    except SnapshotError as exc:
-        print(f"driftrisk: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except DriftRiskError as exc:
         print(f"driftrisk: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -86,8 +86,9 @@ class SweepGrid:
 
     Every error-sweep cell is determined by (axes, master_seed).  A value
     that no sweep kind can use is rejected here; :meth:`for_error_sweep`
-    adds the rules that only the rate-error and accuracy-error sweeps need.
-    ``profiles`` None stands for the ``grid_step`` lattice.
+    adds the rules that only the rate-error and accuracy-error sweeps need,
+    and :func:`risk_curve` checks its own.  ``profiles`` None stands for
+    the ``grid_step`` lattice.
     """
 
     rates: tuple[float, ...] = ()
@@ -148,19 +149,6 @@ class SweepGrid:
         if not self.rates:
             raise ValidationError("grid needs at least one rate")
 
-    def require_risk_curve(self) -> None:
-        """Refuse a grid that risk_curve cannot run.
-
-        A risk curve needs at least one rate, and a risk_horizon longer
-        than risk_trace_length.
-        """
-        self.require_rates()
-        if self.risk_horizon <= self.risk_trace_length:
-            raise ValidationError(
-                f"risk_horizon ({self.risk_horizon}) must exceed "
-                f"risk_trace_length ({self.risk_trace_length})"
-            )
-
     def for_error_sweep(self) -> "SweepGrid":
         """This grid with its profiles resolved, once the error-sweep rules hold.
 
@@ -208,14 +196,18 @@ class SweepGrid:
 
 @dataclass(frozen=True)
 class CellResult:
-    """One sweep cell: its coordinates and error metrics."""
+    """One sweep cell: its coordinates and error metrics.
+
+    ``baseline_mae`` is the constant-InD baseline's error, which only the
+    accuracy-error sweep measures.
+    """
 
     axes: dict
     mae: float | None
     mean_signed_error: float | None
     n: int
     refused: bool = False
-    extra: dict = field(default_factory=dict)
+    baseline_mae: float | None = None
 
 
 @dataclass
@@ -237,7 +229,7 @@ class ErrorReport:
         for cell in self.cells:
             if cell.refused:
                 continue
-            value = cell.extra[metric] if metric in cell.extra else getattr(cell, metric)
+            value = getattr(cell, metric)
             if value is None:
                 continue
             key = cell.axes[axis]
@@ -253,7 +245,7 @@ class ErrorReport:
             row["mae"] = cell.mae
             row["mean_signed_error"] = cell.mean_signed_error
             row["refused"] = cell.refused
-            row.update(cell.extra)
+            row["baseline_mae"] = cell.baseline_mae
             rows.append(row)
         return rows
 
@@ -451,7 +443,7 @@ def accuracy_error_cell(
         mae=float(np.mean(np.abs(errors))),
         mean_signed_error=float(np.mean(errors)),
         n=grid.seeds_per_cell,
-        extra={"baseline_mae": float(np.mean(np.abs(np.array(baseline_errors))))},
+        baseline_mae=float(np.mean(np.abs(np.array(baseline_errors)))),
     )
 
 
@@ -538,32 +530,34 @@ class RiskCurveResult:
 
 
 def risk_curve(
-    rates: Sequence[float],
+    grid: SweepGrid,
     oracle: AccuracyOracle,
     profile: DetectorProfile,
     costs: CostModel,
     threshold: float,
-    horizon: int = 4000,
-    trace_length: int = 500,
-    master_seed: int = 0,
 ) -> RiskCurveResult:
     """Estimated and realized per-batch risk versus true shift rate.
 
-    Two system configurations share the same streams and verdicts: one
-    routes positive verdicts to interventions (rv tree), one ignores them
-    (base tree).  Estimated risk is the monitor's; actual risk prices the
+    One deployment of ``grid.risk_horizon`` batches per entry of
+    ``grid.rates``, assessed over a window of ``grid.risk_trace_length``
+    verdicts and seeded from ``grid.master_seed``.  Two system
+    configurations share the same streams and verdicts: one routes
+    positive verdicts to interventions (rv tree), one ignores them (base
+    tree).  Estimated risk is the monitor's; actual risk prices the
     realized outcome of each batch.
     """
-    if horizon <= trace_length:
+    grid.require_rates()
+    if grid.risk_horizon <= grid.risk_trace_length:
         raise ValidationError(
-            f"horizon ({horizon}) must exceed trace_length ({trace_length})"
+            f"risk_horizon ({grid.risk_horizon}) must exceed "
+            f"risk_trace_length ({grid.risk_trace_length})"
         )
     table, _, _ = batched_accuracy_table(oracle, batch_size=1, threshold=0.5)
     rv_config = MonitorConfig(
         topology="rv",
         profile=profile,
         accuracies=table,
-        trace_capacity=trace_length,
+        trace_capacity=grid.risk_trace_length,
         prior_rate=_SWEEP_PRIOR,
         costs=dict(costs),
     )
@@ -573,17 +567,19 @@ def risk_curve(
     evaluate_base = Monitor(replace(rv_config, topology="base")).evaluate
 
     points = []
-    for ri, rate in enumerate(rates):
+    for ri, rate in enumerate(grid.rates):
         stream = generate_stream(
             StreamConfig(
                 batch_size=1,
                 shift_rate=float(rate),
-                horizon=horizon,
-                seed=derive_seed(master_seed, _RISK_CURVE_TAG, ri, 0),
+                horizon=grid.risk_horizon,
+                seed=derive_seed(grid.master_seed, _RISK_CURVE_TAG, ri, 0),
             ),
             oracle,
         )
-        detector = SyntheticDetector(profile, _cell_rng(master_seed, _RISK_CURVE_TAG, ri, 1))
+        detector = SyntheticDetector(
+            profile, _cell_rng(grid.master_seed, _RISK_CURVE_TAG, ri, 1)
+        )
         rv = run_deployment(stream, detector, rv_monitor, 0.5)
         start = rv.warmup_end()
         _, base_risks = evaluate_base(rv.assessments.corrected[start:])

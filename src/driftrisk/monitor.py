@@ -261,9 +261,8 @@ class Monitor:
         loop leaves, so :meth:`snapshot` afterwards is the same.  If the
         tree evaluation raises, the monitor is left unchanged.
         """
-        new = _verdict_array(verdicts)
-        assessments = self.assess(new)
-        self.trace.extend(new)
+        assessments = self.assess(verdicts)
+        self.trace.extend(verdicts)
         return assessments
 
     def assess(self, verdicts: np.ndarray) -> Assessments:

@@ -152,8 +152,10 @@ def generate_stream(config: StreamConfig, oracle: AccuracyOracle) -> Stream:
     fold_idx = rng.choice(len(oracle.folds), size=horizon, p=weights)
 
     if config.uniform:
-        fractions = events.astype(float)
+        # Every sample of a batch shares its event flag, so the batch's OOD
+        # fraction is that flag.
         flags = np.broadcast_to(events[:, None], (horizon, size))
+        ood_fraction = events.astype(float)
     else:
         if config.mixture_fraction is None:
             fractions = rng.random(horizon)
@@ -161,13 +163,12 @@ def generate_stream(config: StreamConfig, oracle: AccuracyOracle) -> Stream:
             fractions = np.full(horizon, config.mixture_fraction)
         fractions = np.where(events, fractions, 0.0)
         flags = rng.random((horizon, size)) < fractions[:, None]
+        ood_fraction = flags.mean(axis=1)
 
     fold_accs = np.array([fold.accuracy for fold in oracle.folds])
     per_sample_acc = np.where(flags, fold_accs[fold_idx][:, None], oracle.ind_accuracy)
     correct = rng.random((horizon, size)) < per_sample_acc
-    return Stream(
-        event=events, fold=fold_idx, ood_fraction=flags.mean(axis=1), correct=correct
-    )
+    return Stream(event=events, fold=fold_idx, ood_fraction=ood_fraction, correct=correct)
 
 
 def ind_percentile_threshold(ind_batch_accuracies: Sequence[float], percentile: float) -> float:

@@ -143,7 +143,7 @@ def test_criterion_4_baseline_dominance():
     margins = []
     for cell in report.cells:
         rate = cell.axes["rate"]
-        baseline = cell.extra["baseline_mae"]
+        baseline = cell.baseline_mae
         if rate >= 0.3:
             assert cell.mae < baseline, f"method lost to baseline at rate {rate}"
             margins.append(baseline / cell.mae)
@@ -175,14 +175,16 @@ def test_criterion_6_case_study_risk_crossings():
     started = time.perf_counter()
     oracle = AccuracyOracle.uniform_folds(CASE_STUDY_IND_ACC, CASE_STUDY_FOLD_ACCS)
     curves = risk_curve(
-        rates=tuple(np.round(np.arange(0.0, 1.0001, 0.05), 10)),
+        SweepGrid(
+            rates=tuple(np.round(np.arange(0.0, 1.0001, 0.05), 10)),
+            risk_horizon=4000,
+            risk_trace_length=500,
+            master_seed=1006,
+        ),
         oracle=oracle,
         profile=CASE_STUDY_PROFILE,
         costs=CASE_STUDY_COSTS,
         threshold=CASE_STUDY_THRESHOLD,
-        horizon=4000,
-        trace_length=500,
-        master_seed=1006,
     )
     crossings = curves.crossings
     for curve in ("base_estimated", "base_actual"):

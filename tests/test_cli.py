@@ -680,6 +680,39 @@ class TestSweepCommand:
         # The other sweep kinds do not need these rules.
         assert main(["sweep", "cba", "--config", str(config), "--output", str(out)]) == EXIT_OK
 
+    @pytest.mark.parametrize(
+        "kind,change,code,message",
+        [
+            ("accuracy-error", lambda p: p.pop("oracle"), EXIT_USAGE,
+             "config is missing required section(s): oracle"),
+            ("risk-curve", lambda p: p.pop("oracle"), EXIT_USAGE,
+             "config is missing required section(s): oracle"),
+            ("risk-curve", lambda p: p["monitor"].pop("risk_threshold"), EXIT_USAGE,
+             "risk-curve needs monitor costs and risk_threshold"),
+            ("risk-curve", lambda p: p["monitor"].update(profile={"tpr": 0.5, "tnr": 0.5}),
+             EXIT_UNINFORMATIVE,
+             "detector uninformative: TPR + TNR - 1 = 0 <= 0.05; "
+             "corrected rate estimates would be dominated by noise"),
+            ("cba", lambda p: p["sweep"].pop("operating_rate"), EXIT_USAGE,
+             "cba needs sweep.operating_rate"),
+            ("cba", lambda p: p["monitor"].pop("costs"), EXIT_USAGE, "cba needs monitor costs"),
+            ("cba", lambda p: p.pop("monitor"), EXIT_USAGE,
+             "config is missing required section(s): monitor"),
+        ],
+        ids=["accuracy-error-no-oracle", "risk-curve-no-oracle", "risk-curve-no-threshold",
+             "risk-curve-uninformative", "cba-no-operating-rate", "cba-no-costs",
+             "cba-no-monitor"],
+    )
+    def test_failed_sweep_writes_nothing(self, tmp_path, capsys, kind, change, code, message):
+        payload = case_study_config_dict()
+        change(payload)
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(payload))
+        out = tmp_path / "sweep"
+        assert main(["sweep", kind, "--config", str(config), "--output", str(out)]) == code
+        assert capsys.readouterr().err == f"driftrisk: {message}\n"
+        assert not out.exists()
+
     def test_negative_seed_flag_exits_usage(self, tmp_path, capsys, config_path):
         out = tmp_path / "sweep"
         argv = ["sweep", "risk-curve", "--config", config_path, "--output", str(out)]
@@ -732,7 +765,7 @@ class TestCalibrateCommand:
         code = main(["calibrate", "--input", str(path), "--output", str(tmp_path / "f.json")])
         captured = capsys.readouterr()
         assert code == EXIT_DATA
-        assert "is_ood" in captured.err
+        assert captured.err == "driftrisk: labeled data is missing the 'is_ood' column\n"
 
     @pytest.mark.parametrize(
         "content,message",
@@ -767,7 +800,9 @@ class TestCalibrateCommand:
         labeled = self.write_labeled(tmp_path, [(1, 1, 0), (1, 0, 1)])
         code = main(["calibrate", "--input", labeled, "--output", str(tmp_path / "f.json")])
         assert code == EXIT_DATA
-        assert "InD" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "driftrisk: calibration data contains no non-event (InD) samples\n"
+        )
 
     def test_fragment_feeds_back_bit_exact(self, tmp_path):
         # Calibrate, splice the fragment into a run config, monitor with it,

@@ -288,7 +288,7 @@ class TestAccuracyErrorSweep:
         oracle = AccuracyOracle.single(0.9, 0.33)
         report = accuracy_error_sweep(grid, oracle)
         assert report.cells[0].mae < 0.03
-        assert "baseline_mae" in report.cells[0].extra
+        assert report.cells[0].baseline_mae is not None
 
     def test_method_beats_baseline_at_high_rate(self):
         grid = SweepGrid(
@@ -301,7 +301,7 @@ class TestAccuracyErrorSweep:
         )
         oracle = AccuracyOracle.single(0.9, 0.33)
         cell = accuracy_error_sweep(grid, oracle).cells[0]
-        assert cell.mae < cell.extra["baseline_mae"]
+        assert cell.mae < cell.baseline_mae
 
     def test_method_ties_baseline_at_zero_rate(self):
         # With no shift the clean validation number is already right, so
@@ -316,7 +316,7 @@ class TestAccuracyErrorSweep:
         )
         oracle = AccuracyOracle.single(0.9, 0.33)
         cell = accuracy_error_sweep(grid, oracle).cells[0]
-        assert cell.mae <= cell.extra["baseline_mae"] + 0.02
+        assert cell.mae <= cell.baseline_mae + 0.02
 
     @pytest.mark.parametrize("topology", ["base", "rv"])
     @pytest.mark.parametrize("prior_rate", [0.5, 0.05])
@@ -368,7 +368,7 @@ class TestAccuracyErrorSweep:
                     errors = np.array(method)
                     assert cell.mae == float(np.mean(np.abs(errors)))
                     assert cell.mean_signed_error == float(np.mean(errors))
-                    assert cell.extra["baseline_mae"] == float(
+                    assert cell.baseline_mae == float(
                         np.mean(np.abs(np.array(baseline)))
                     )
 
@@ -420,14 +420,11 @@ class TestRiskCurve:
         # Rate zero with a perfect detector and flawless InD model.
         oracle = AccuracyOracle.single(1.0, 0.0)
         result = risk_curve(
-            rates=(0.0,),
+            SweepGrid(rates=(0.0,), risk_horizon=600, risk_trace_length=100, master_seed=11),
             oracle=oracle,
             profile=DetectorProfile(1.0, 1.0),
             costs=outcome_costs,
             threshold=CASE_STUDY_THRESHOLD,
-            horizon=600,
-            trace_length=100,
-            master_seed=11,
         )
         point = result.points[0]
         assert point.estimated_rv == 635.0
@@ -437,14 +434,11 @@ class TestRiskCurve:
 
     def test_estimates_track_actuals(self, case_study_oracle, case_study_profile, outcome_costs):
         result = risk_curve(
-            rates=(0.2, 0.6),
+            SweepGrid(rates=(0.2, 0.6), risk_horizon=3000, risk_trace_length=300, master_seed=13),
             oracle=case_study_oracle,
             profile=case_study_profile,
             costs=outcome_costs,
             threshold=CASE_STUDY_THRESHOLD,
-            horizon=3000,
-            trace_length=300,
-            master_seed=13,
         )
         for point in result.points:
             assert point.estimated_rv == pytest.approx(point.actual_rv, rel=0.08)
@@ -458,8 +452,8 @@ class TestRiskCurve:
         # prices the realized outcomes of its own trace.
         rates = (0.0, 0.35, 0.8, 1.0)
         result = risk_curve(
-            rates, case_study_oracle, case_study_profile, outcome_costs,
-            CASE_STUDY_THRESHOLD, horizon=700, trace_length=90, master_seed=21,
+            SweepGrid(rates=rates, risk_horizon=700, risk_trace_length=90, master_seed=21),
+            case_study_oracle, case_study_profile, outcome_costs, CASE_STUDY_THRESHOLD,
         )
         table, _, _ = batched_accuracy_table(case_study_oracle, 1, 0.5)
         for ri, (rate, point) in enumerate(zip(rates, result.points)):
@@ -482,16 +476,36 @@ class TestRiskCurve:
             assert point.estimated_base == base.mean_expected_risk(start)
             assert point.actual_base == base.realized_mean_cost(outcome_costs, False, start)
 
+    @pytest.mark.parametrize(
+        "grid,message",
+        [
+            (SweepGrid(rates=()), "grid needs at least one rate"),
+            (
+                SweepGrid(rates=(0.5,), risk_horizon=100, risk_trace_length=100),
+                r"risk_horizon \(100\) must exceed risk_trace_length \(100\)",
+            ),
+            (
+                SweepGrid(rates=(0.5,), risk_horizon=-5, risk_trace_length=50),
+                r"risk_horizon \(-5\) must exceed risk_trace_length \(50\)",
+            ),
+        ],
+        ids=["no-rates", "equal-horizon", "negative-horizon"],
+    )
+    def test_grid_rules(self, case_study_oracle, case_study_profile, outcome_costs, grid, message):
+        # risk_curve is the one place that checks these rules of its grid.
+        with pytest.raises(ValidationError, match=message):
+            risk_curve(
+                grid, case_study_oracle, case_study_profile, outcome_costs, CASE_STUDY_THRESHOLD
+            )
+
     def test_rows_and_crossings_exposed(self, case_study_oracle, case_study_profile, outcome_costs):
         result = risk_curve(
-            rates=(0.0, 0.5, 1.0),
+            SweepGrid(rates=(0.0, 0.5, 1.0), risk_horizon=800, risk_trace_length=100,
+                      master_seed=15),
             oracle=case_study_oracle,
             profile=case_study_profile,
             costs=outcome_costs,
             threshold=CASE_STUDY_THRESHOLD,
-            horizon=800,
-            trace_length=100,
-            master_seed=15,
         )
         assert len(result.to_rows()) == 3
         assert set(result.crossings) == {

@@ -2,7 +2,7 @@
 
 The other tests build their own documents, so a schema change could break
 the shipped examples unnoticed.  Every file must load, simulate in both
-formats and, when it has a sweep section, run the two sweep kinds that
+formats and, when it has a sweep section, run the three sweep kinds that
 take well under a second on it.
 """
 
@@ -32,7 +32,7 @@ def test_shipped_config_runs(path, tmp_path):
         assert main(argv) == EXIT_OK
         assert out.stat().st_size > 0
     if config.sweep is not None:
-        for kind in ("cba", "risk-curve"):
+        for kind in ("cba", "risk-curve", "rate-error"):
             out = tmp_path / kind
             argv = ["sweep", kind, "--config", str(path), "--jobs", "1", "--output", str(out)]
             assert main(argv) == EXIT_OK

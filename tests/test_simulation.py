@@ -109,6 +109,8 @@ class TestGenerateStream:
             StreamConfig(batch_size=16, shift_rate=0.5, horizon=300, seed=3), simple_oracle()
         )
         assert np.isin(stream.ood_fraction, (0.0, 1.0)).all()
+        assert stream.ood_fraction.dtype == np.float64
+        assert np.array_equal(stream.ood_fraction, stream.event.astype(float))
 
     def test_mixture_fraction_honored(self):
         stream = generate_stream(
