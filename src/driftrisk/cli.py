@@ -25,7 +25,12 @@ import numpy as np
 
 from . import io
 from .config import RunConfig, SCHEMA_VERSION, load_run_config
-from .errors import DriftRiskError, UninformativeDetectorError, ValidationError
+from .errors import (
+    DriftRiskError,
+    UninformativeDetectorError,
+    ValidationError,
+    check_range,
+)
 from .estimation import calibrate_profile, conditional_accuracy
 from .experiments import (
     accuracy_error_sweep,
@@ -240,6 +245,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "grid": config.sweep.to_dict(),
     }
     try:
+        check_range("--jobs", args.jobs, 1, integer=True)
         sweep = replace(config.sweep, master_seed=master_seed)
         if args.kind == "rate-error":
             columns = _RATE_REPORT_COLUMNS
@@ -355,7 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="parallel workers across sweep cells",
+        help="parallel workers across sweep cells: at least 1, and at most one "
+        "per CPU and per cell",
     )
     p_sweep.set_defaults(func=cmd_sweep)
 

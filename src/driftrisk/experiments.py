@@ -8,6 +8,7 @@ parallel workers and still reproduce byte-identically.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from typing import Sequence
@@ -251,12 +252,18 @@ class ErrorReport:
 
 
 def _run_cells(cells, evaluate, jobs: int):
-    if jobs <= 1:
+    """evaluate(coords) of every cell, in order, in at most ``jobs`` processes.
+
+    No more workers start than there are cells or CPUs; with one worker
+    the cells run in this process.
+    """
+    workers = min(jobs, len(cells), os.cpu_count() or 1)
+    if workers <= 1:
         return [evaluate(coords) for coords in cells]
     # Imported here: the process-pool module adds about 20 ms to every command.
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(evaluate, cells))
 
 

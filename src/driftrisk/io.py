@@ -13,6 +13,8 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
+import numpy as np
+
 from .errors import CalibrationError, ValidationError
 from .monitor import Assessments
 from .simulation import DeploymentTrace
@@ -159,11 +161,12 @@ TRACE_COLUMNS = (
 )
 
 
-def trace_columns(trace: DeploymentTrace) -> list[list]:
-    """The TRACE_COLUMNS fields of a trace, one list per column.
+def trace_columns(trace: DeploymentTrace) -> list:
+    """The TRACE_COLUMNS fields of a trace, one format_rows column each.
 
-    tolist() turns array entries into Python scalars: fmt() prints a bool
-    as 0/1 but an np.bool_ as True/False, and json rejects np.bool_.
+    The float columns are the trace's float64 arrays.  The bool columns
+    go through tolist(): fmt() prints a bool as 0/1 but an np.bool_ as
+    True/False, and json rejects np.bool_.
     """
     assessments = trace.assessments
     risks = assessments.expected_risk
@@ -171,11 +174,11 @@ def trace_columns(trace: DeploymentTrace) -> list[list]:
         list(range(len(trace))),
         trace.is_ood.tolist(),
         trace.verdict.tolist(),
-        trace.batch_accuracy.tolist(),
+        trace.batch_accuracy,
         trace.batch_correct.tolist(),
-        assessments.corrected.tolist(),
-        assessments.expected_accuracy.tolist(),
-        [None] * len(trace) if risks is None else risks.tolist(),
+        assessments.corrected,
+        assessments.expected_accuracy,
+        [None] * len(trace) if risks is None else risks,
         assessments.alert.tolist(),
     ]
 
@@ -219,23 +222,24 @@ def assessment_row(index: int, verdict: bool, assessment) -> dict:
 
 def assessment_columns(
     first_index: int, verdicts: list[bool], assessments: Assessments
-) -> list[list]:
-    """The ASSESSMENT_COLUMNS fields of one observe_many call, one list per column.
+) -> list:
+    """The ASSESSMENT_COLUMNS fields of one observe_many call, one format_rows column each.
 
     Row i is the assessment_row of verdict ``verdicts[i]`` at index
-    ``first_index + i``.
+    ``first_index + i``.  The float columns are the float64 arrays of
+    ``assessments``; the bool columns are lists, for the reason trace_columns gives.
     """
     risks = assessments.expected_risk
     return [
         list(range(first_index, first_index + len(verdicts))),
         verdicts,
-        assessments.raw_mean.tolist(),
-        assessments.corrected.tolist(),
+        assessments.raw_mean,
+        assessments.corrected,
         assessments.clamped.tolist(),
-        assessments.fill_fraction.tolist(),
+        assessments.fill_fraction,
         assessments.using_prior.tolist(),
-        assessments.expected_accuracy.tolist(),
-        [None] * len(verdicts) if risks is None else risks.tolist(),
+        assessments.expected_accuracy,
+        [None] * len(verdicts) if risks is None else risks,
         assessments.alert.tolist(),
     ]
 
@@ -262,25 +266,41 @@ def _json_layout(names: tuple[str, ...]) -> tuple[tuple[int, str], ...]:
     return tuple((names.index(name), f'"{name}": ') for name in sorted(names))
 
 
-def format_rows(names: tuple[str, ...], columns: Sequence[list], output_format: str) -> str:
+def _column_cells(column, cell_rules: dict, fallback, prefix: str = "") -> list[str]:
+    """Each entry of a non-empty column as its cell rule renders it, after prefix.
+
+    A float column is rendered once per distinct bit pattern (so 0.0 and
+    -0.0 keep their own text) and each row takes its value's text.
+    """
+    if isinstance(column[0], float):  # a Python float or an np.float64
+        bits = np.asarray(column, dtype=np.float64).view(np.int64)
+        distinct, inverse = np.unique(bits, return_inverse=True)
+        render = cell_rules[float]
+        texts = [prefix + render(value) for value in distinct.view(np.float64).tolist()]
+        return list(map(texts.__getitem__, inverse.tolist()))
+    cells = map(cell_rules.get(type(column[0]), fallback), column)
+    return list(map(prefix.__add__, cells)) if prefix else list(cells)
+
+
+def format_rows(names: tuple[str, ...], columns: Sequence, output_format: str) -> str:
     """Rows given column by column, as csv lines or sorted-key JSON lines.
 
     ``columns[j]`` holds field ``names[j]`` (a plain identifier) of every
-    row, all of one type, as ``tolist()`` gives them.  A csv field reads as
-    fmt() renders it; a JSON line equals ``json.dumps`` with sorted keys of
-    the row with each float rounded to 9 significant digits.
+    row, all of one type.  A float column is a float64 array or a list of
+    floats, and each distinct bit pattern in it is rendered once; any other
+    column is a list as ``tolist()`` gives it.  A csv field reads as fmt()
+    renders it; a JSON line equals ``json.dumps`` with sorted keys of the
+    row with each float rounded to 9 significant digits.
     """
-    if not columns[0]:
+    if len(columns[0]) == 0:
         return ""
     if output_format == "structured":
         cells = [
-            list(map(prefix.__add__, map(
-                _JSON_CELLS.get(type(columns[j][0]), _json_value), columns[j]
-            )))
+            _column_cells(columns[j], _JSON_CELLS, _json_value, prefix)
             for j, prefix in _json_layout(names)
         ]
         return "{" + "}\n{".join(map(", ".join, zip(*cells))) + "}\n"
-    cells = [list(map(_CSV_CELLS.get(type(column[0]), fmt), column)) for column in columns]
+    cells = [_column_cells(column, _CSV_CELLS, fmt) for column in columns]
     return "\n".join(map(",".join, zip(*cells))) + "\n"
 
 

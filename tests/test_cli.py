@@ -657,6 +657,15 @@ class TestSweepCommand:
             out_parallel / "report.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize("kind", ["rate-error", "cba"])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_usage(self, tmp_path, capsys, config_path, kind, jobs):
+        out = tmp_path / "out"
+        argv = ["sweep", kind, "--config", config_path, "--output", str(out), "--jobs", jobs]
+        assert main(argv) == EXIT_USAGE
+        assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "kind,change,message",
         [

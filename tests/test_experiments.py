@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import concurrent.futures
+import os
 from unittest import mock
 
 import numpy as np
@@ -273,6 +275,39 @@ class TestRateErrorSweep:
             horizon=300,
         )
         assert rate_error_sweep(grid, jobs=2) == rate_error_sweep(grid, jobs=1)
+
+    def test_workers_bounded_by_cells_and_cpus(self, monkeypatch):
+        started = []
+
+        class RecordingPool:
+            """Records its worker count and runs the cells here, starting nothing."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, evaluate, cells):
+                return map(evaluate, cells)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        grid = SweepGrid(
+            rates=(0.2, 0.8),
+            profiles=(DetectorProfile(0.8, 0.8), DetectorProfile(0.9, 0.7)),
+            trace_lengths=(100,),
+            seeds_per_cell=5,
+            horizon=300,
+        )  # 4 cells
+        serial = rate_error_sweep(grid, jobs=1)
+        for cpus, workers in ((3, 3), (64, 4), (None, None)):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            started.clear()
+            assert rate_error_sweep(grid, jobs=10**6) == serial
+            assert started == ([] if workers is None else [workers])
 
 
 class TestAccuracyErrorSweep:

@@ -6,8 +6,9 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftrisk.detectors import SyntheticDetector
@@ -74,7 +75,38 @@ ROW_VALUES = st.tuples(
 )
 
 
+@st.composite
+def repeating_floats(draw):
+    """A float column drawn from a few values, so that values repeat.
+
+    The pool holds both zeros (equal, but printed apart), values printed
+    in exponent form or cut to 9 digits, and a few floats of any kind.
+    """
+    pool = [0.0, -0.0, 1e-05, 12345678912.0, 1 / 3]
+    pool += draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=3))
+    return draw(st.lists(st.sampled_from(pool), max_size=40))
+
+
 class TestFormatRows:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(column=repeating_floats())
+    @example(column=[0.0, -0.0, 0.0])
+    @example(column=[])
+    def test_distinct_floats_render_as_each_row_would(self, column):
+        # The float column comes first, so the empty check reads an array too.
+        names = ("value", "index")
+        index = list(range(len(column)))
+        expected = {
+            "csv": "".join(f"{fmt(value)},{i}\n" for value, i in zip(column, index)),
+            "structured": "".join(
+                json.dumps({"value": float(fmt(value)), "index": i}, sort_keys=True) + "\n"
+                for value, i in zip(column, index)
+            ),
+        }
+        for values in (column, np.array(column, dtype=np.float64)):
+            for output_format, text in expected.items():
+                assert format_rows(names, [values, index], output_format) == text
+
     @settings(max_examples=200, deadline=None, database=None)
     @given(rows=st.lists(ROW_VALUES, max_size=5), priced=st.booleans())
     def test_equals_fmt_and_json_dumps_row_by_row(self, rows, priced):
