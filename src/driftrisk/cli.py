@@ -156,17 +156,20 @@ def _assess_chunks(monitor, lines, out, output_format) -> bool:
     """
     any_alert = False
     index = 0
+    renderer = io.AssessmentRenderer(output_format)
     for verdicts in io.iter_verdict_chunks(lines, VERDICT_CHUNK_LINES):
         try:
-            assessments = monitor.observe_many(np.array(verdicts))
+            assessments = monitor.observe_many(verdicts)
         except DriftRiskError:
             # observe_many leaves the monitor unchanged when a verdict fails;
             # the scalar loop writes the rows before that verdict, then raises.
-            alerted = _assess_each(monitor, verdicts, index, out, output_format, flush=False)
+            # It takes bools: fmt() prints an np.bool_ as True, not 1.
+            alerted = _assess_each(
+                monitor, verdicts.tolist(), index, out, output_format, flush=False
+            )
             any_alert = any_alert or alerted
         else:
-            columns = io.assessment_columns(index, verdicts, assessments)
-            out.write(io.format_rows(io.ASSESSMENT_COLUMNS, columns, output_format))
+            out.write(renderer.rows(index, verdicts, assessments))
             any_alert = any_alert or bool(assessments.alert.any())
         index += len(verdicts)
     return any_alert

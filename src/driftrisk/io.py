@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import json
 from functools import lru_cache
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -23,6 +23,10 @@ SCHEMA_VERSION = 1
 
 _TRUTHY = {"1", "true", "t", "yes"}
 _FALSY = {"0", "false", "f", "no"}
+
+# The line "1\n" as a little-endian uint16; "0\n" differs from it in the
+# lowest bit alone.
+_ONE_LINE = ord("1") | ord("\n") << 8
 
 
 def fmt(value) -> str:
@@ -103,17 +107,36 @@ def _parse_verdicts(
     return verdicts, None
 
 
-def iter_verdict_chunks(lines: Iterable[str], size: int) -> Iterator[list[bool]]:
+def _chunk_verdicts(
+    chunk: list[str], first_line_no: int
+) -> tuple[np.ndarray, ValidationError | None]:
+    """_parse_verdicts of a list of lines, with the verdicts as a bool array."""
+    text = "".join(chunk)
+    # A run that is not ASCII never passes the byte check, so it is not encoded.
+    if len(text) == 2 * len(chunk) and text.isascii():
+        pairs = np.frombuffer(text.encode("ascii"), dtype="<u2")
+        if ((pairs | 1) == _ONE_LINE).all():
+            return pairs == _ONE_LINE, None
+    verdicts, error = _parse_verdicts(chunk, first_line_no)
+    return np.array(verdicts, dtype=bool), error
+
+
+def iter_verdict_chunks(lines: Iterable[str], size: int) -> Iterator[np.ndarray]:
     """Parse a verdict stream, one 0/1 per line, ``size`` lines at a time.
 
-    Yields the verdicts of each run of ``size`` lines.  A malformed line
-    raises a ValidationError with its line number, after the verdicts
-    before it in its run have been yielded.
+    ``lines`` are as a text file yields them: each ends in a newline, but
+    perhaps the last.  Yields the verdicts of each run of ``size`` lines as
+    a 1-D bool array.  A malformed line raises a ValidationError with its
+    line number, after the verdicts before it in its run have been yielded.
+
+    A run whose every line is a 0 or a 1 and a newline is read as bytes,
+    two to a line, with no Python work per line.  Any other run goes
+    through the line parser of iter_verdicts, which reads that run the same.
     """
     lines = iter(lines)
     line_no = 1
     while chunk := list(islice(lines, size)):
-        verdicts, error = _parse_verdicts(chunk, line_no)
+        verdicts, error = _chunk_verdicts(chunk, line_no)
         yield verdicts
         if error is not None:
             raise error
@@ -220,30 +243,6 @@ def assessment_row(index: int, verdict: bool, assessment) -> dict:
     }
 
 
-def assessment_columns(
-    first_index: int, verdicts: list[bool], assessments: Assessments
-) -> list:
-    """The ASSESSMENT_COLUMNS fields of one observe_many call, one format_rows column each.
-
-    Row i is the assessment_row of verdict ``verdicts[i]`` at index
-    ``first_index + i``.  The float columns are the float64 arrays of
-    ``assessments``; the bool columns are lists, for the reason trace_columns gives.
-    """
-    risks = assessments.expected_risk
-    return [
-        list(range(first_index, first_index + len(verdicts))),
-        verdicts,
-        assessments.raw_mean,
-        assessments.corrected,
-        assessments.clamped.tolist(),
-        assessments.fill_fraction,
-        assessments.using_prior.tolist(),
-        assessments.expected_accuracy,
-        [None] * len(verdicts) if risks is None else risks,
-        assessments.alert.tolist(),
-    ]
-
-
 def _json_float(value: float) -> str:
     """A finite float as a JSON line prints it, at 9 significant digits."""
     return repr(float(format(value, ".9g")))
@@ -302,6 +301,136 @@ def format_rows(names: tuple[str, ...], columns: Sequence, output_format: str) -
         return "{" + "}\n{".join(map(", ".join, zip(*cells))) + "}\n"
     cells = [_column_cells(column, _CSV_CELLS, fmt) for column in columns]
     return "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
+# A renderer keeps the text of about this many window states at most, one
+# chunk's worth more at worst; past it, it starts over.
+_STATE_TEXTS = 2**14
+
+
+def _distinct_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first position of each distinct pair (a[i], b[i]), and each i's pair number."""
+    order = np.lexsort((a, b))
+    a, b = a[order], b[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
+def _state_column(assessments: Assessments, name: str, rows: np.ndarray):
+    """Field ``name`` of the rows at ``rows``, as a format_rows column.
+
+    ``name`` is an ASSESSMENT_COLUMNS field but index and verdict; each is
+    the Assessments entry of that name, but p_hat, which is ``corrected``.
+    """
+    values = getattr(assessments, "corrected" if name == "p_hat" else name)
+    if values is None:  # expected_risk, without costs
+        return [None] * len(rows)
+    values = values[rows]
+    return values if values.dtype == np.float64 else values.tolist()
+
+
+class AssessmentRenderer:
+    """The rows of one monitor's observe_many calls, in the bytes of format_rows.
+
+    Under one monitor, every field of a row but index and verdict is a
+    function of the window state, the pair (raw_mean, fill_fraction):
+    using_prior follows from the fill; pre_clamp and p_hat from raw_mean
+    and using_prior; clamped, expected_accuracy, expected_risk and alert
+    from p_hat, by element-wise IEEE operations.  So the renderer keeps
+    the text of each state it has written, keyed by the bit patterns of
+    the pair, and writes a row as its index, its verdict and its state's
+    text.  The states it does not hold yet are rendered column by column
+    by the cell rules of format_rows.
+
+    A chunk in which most rows have a state of their own, as with decay
+    below 1, would find few of its states again, and keeping them costs
+    more than rendering its rows: its rows go through format_rows as they
+    are, and no state is kept.
+    """
+
+    def __init__(self, output_format: str) -> None:
+        self._format = output_format
+        if output_format == "structured":
+            self._rules, self._fallback = _JSON_CELLS, _json_value
+            self._sep, self._start, self._end = ", ", "{", "}\n"
+            fields = [
+                (ASSESSMENT_COLUMNS[j], prefix) for j, prefix in _json_layout(ASSESSMENT_COLUMNS)
+            ]
+        else:
+            self._rules, self._fallback = _CSV_CELLS, fmt
+            self._sep, self._start, self._end = ",", "", "\n"
+            fields = [(name, "") for name in ASSESSMENT_COLUMNS]
+        names = [name for name, _ in fields]
+        index, verdict = names.index("index"), names.index("verdict")
+        # The state fields before the index, between it and the verdict,
+        # and after the verdict, each with its key prefix.
+        self._runs = (fields[:index], fields[index + 1 : verdict], fields[verdict + 1 :])
+        self._index_prefix, self._verdict_prefix = fields[index][1], fields[verdict][1]
+        # (raw_mean bits, fill_fraction bits) -> for a negative and for a
+        # positive verdict, the text of a row before and after its index.
+        self._texts: dict[tuple[int, int], tuple[tuple[str, str], ...]] = {}
+
+    def rows(self, first_index: int, verdicts: np.ndarray, assessments: Assessments) -> str:
+        """The rows of one observe_many call: verdict i at index first_index + i."""
+        count = len(verdicts)
+        raw = assessments.raw_mean.view(np.int64)
+        fill = assessments.fill_fraction.view(np.int64)
+        first, state = _distinct_pairs(raw, fill)
+        if 2 * len(first) > count:
+            every = np.arange(count)
+            columns = [
+                list(range(first_index, first_index + count)),
+                verdicts.tolist(),
+                *(_state_column(assessments, name, every) for name in ASSESSMENT_COLUMNS[2:]),
+            ]
+            return format_rows(ASSESSMENT_COLUMNS, columns, self._format)
+        texts = self._texts
+        if len(texts) > _STATE_TEXTS:
+            texts.clear()
+        keys = list(zip(raw[first].tolist(), fill[first].tolist()))
+        found = list(map(texts.get, keys))
+        missing = [j for j, text in enumerate(found) if text is None]
+        if missing:
+            new = self._state_texts(assessments, first[missing])
+            for j, text in zip(missing, new):
+                found[j] = text
+            texts.update(zip(map(keys.__getitem__, missing), new))
+        # halves[2 * s + v]: the text around the index of state s with verdict v.
+        halves = list(chain.from_iterable(found))
+        return "".join(map(
+            str.join,
+            map(str, range(first_index, first_index + count)),
+            map(halves.__getitem__, (2 * state + verdicts).tolist()),
+        ))
+
+    def _state_texts(self, assessments: Assessments, rows: np.ndarray) -> list:
+        """The texts that the renderer keeps, of the states of the rows at ``rows``."""
+        before, between, after = (
+            [
+                _column_cells(_state_column(assessments, name, rows), self._rules,
+                              self._fallback, prefix)
+                for name, prefix in run
+            ]
+            for run in self._runs
+        )
+        count, sep = len(rows), self._sep
+        heads = [
+            self._start + sep.join(cells)
+            for cells in zip(*before, [self._index_prefix] * count)
+        ]
+        mids = [
+            sep.join(cells)
+            for cells in zip([""] * count, *between, [self._verdict_prefix] * count)
+        ]
+        ends = [sep.join(cells) + self._end for cells in zip([""] * count, *after)]
+        negative, positive = self._rules[bool](False), self._rules[bool](True)
+        return [
+            ((head, mid + negative + end), (head, mid + positive + end))
+            for head, mid, end in zip(heads, mids, ends)
+        ]
 
 
 def emit_assessment(handle: TextIO, row: dict, output_format: str) -> None:

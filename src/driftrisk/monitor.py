@@ -65,6 +65,10 @@ from .event_tree import (  # noqa: F401
 SNAPSHOT_FORMAT = "driftrisk.monitor"
 SNAPSHOT_VERSION = 1
 
+# The largest trace_capacity: a monitor allocates its window and, with decay
+# below 1, builds its weight tables at creation, each in proportion to it.
+MAX_TRACE_CAPACITY = 10**6
+
 
 @dataclass(frozen=True)
 class MonitorConfig:
@@ -83,7 +87,7 @@ class MonitorConfig:
     def __post_init__(self) -> None:
         if self.topology not in ("base", "rv"):
             raise ValidationError(f"topology must be 'base' or 'rv', got {self.topology!r}")
-        check_range("trace_capacity", self.trace_capacity, 1, integer=True)
+        check_range("trace_capacity", self.trace_capacity, 1, MAX_TRACE_CAPACITY, integer=True)
         if self.min_fill is not None:
             check_number("min_fill", self.min_fill, integer=True)
         check_range("prior_rate", self.prior_rate, 0, 1)

@@ -33,6 +33,11 @@ from .event_tree import (
 )
 
 
+# The most samples (horizon x batch_size) one stream may hold: a stream
+# and its deployment allocate several arrays of that many entries at once.
+MAX_STREAM_SAMPLES = 10**7
+
+
 def sequential_sum(values) -> float:
     """The sum of floats added one at a time in order, from 0.0, as a loop does.
 
@@ -62,6 +67,11 @@ class StreamConfig:
     def __post_init__(self) -> None:
         check_range("batch_size", self.batch_size, 1, integer=True)
         check_range("horizon", self.horizon, 1, integer=True)
+        if self.horizon * self.batch_size > MAX_STREAM_SAMPLES:
+            raise ValidationError(
+                f"horizon x batch_size must be at most {MAX_STREAM_SAMPLES} samples, "
+                f"got {self.horizon} x {self.batch_size}"
+            )
         check_range("seed", self.seed, 0, integer=True)
         check_range("shift_rate", self.shift_rate, 0, 1)
         if self.mixture_fraction is not None:
@@ -175,13 +185,27 @@ def ind_percentile_threshold(ind_batch_accuracies: Sequence[float], percentile: 
     """Percentile of clean-validation batch accuracies, linearly interpolated.
 
     Linear interpolation between closest order statistics is the pinned
-    convention so thresholds are reproducible across runs and tooling.
+    convention so thresholds are reproducible across runs and tooling.  The
+    arithmetic is numpy's "linear" percentile rule, step by step, so the
+    result equals ``np.percentile`` bit for bit on finite values; calling
+    that would import numpy.ma, which nothing else here needs.
     """
-    values = np.asarray(ind_batch_accuracies, dtype=float)
+    values = np.sort(np.asarray(ind_batch_accuracies, dtype=float), axis=None)
     if values.size == 0:
         raise ValidationError("cannot take a percentile of an empty sequence")
     check_range("percentile", percentile, 0, 100)
-    return float(np.percentile(values, percentile))
+    virtual = (values.size - 1) * (percentile / 100)
+    below = math.floor(virtual)
+    above = below + 1
+    if virtual >= values.size - 1:  # past the last value: numpy takes index -1 twice
+        below = above = -1
+    low, high = float(values[below]), float(values[above])
+    # numpy's _lerp, with its weight measured from the lower index.
+    gamma = virtual - below
+    diff = high - low
+    if gamma >= 0.5:
+        return high - diff * (1 - gamma)
+    return low + diff * gamma
 
 
 def clean_batch_threshold(

@@ -195,3 +195,27 @@ def assert_close(actual: float, expected: float, tol: float) -> None:
     assert abs(actual - expected) <= tol * max(1.0, abs(expected)), (
         f"{actual!r} != {expected!r} within {tol}"
     )
+
+
+def assessment_columns(first_index: int, verdicts: list[bool], assessments) -> list:
+    """The io.ASSESSMENT_COLUMNS fields of one observe_many call, one format_rows column each.
+
+    Row i is the io.assessment_row of verdict ``verdicts[i]`` at index
+    ``first_index + i``.  The float columns are the float64 arrays of
+    ``assessments``; the bool columns are lists, since fmt() prints an
+    np.bool_ as True.  With format_rows, this is the reference that
+    io.AssessmentRenderer is checked against.
+    """
+    risks = assessments.expected_risk
+    return [
+        list(range(first_index, first_index + len(verdicts))),
+        verdicts,
+        assessments.raw_mean,
+        assessments.corrected,
+        assessments.clamped.tolist(),
+        assessments.fill_fraction,
+        assessments.using_prior.tolist(),
+        assessments.expected_accuracy,
+        [None] * len(verdicts) if risks is None else risks,
+        assessments.alert.tolist(),
+    ]

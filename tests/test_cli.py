@@ -448,6 +448,29 @@ class TestMonitorRegularFile:
         assert len(chunked[2].splitlines()) == 1 + 44
         assert chunked == monitor_bytes(config, text, "csv", "stdin-memory", tmp_path)
 
+    @pytest.mark.parametrize("output_format", ["csv", "structured"])
+    def test_rows_before_a_failing_verdict_print_each_verdict(self, tmp_path, output_format):
+        # The chunk that fails is written by the scalar loop, which must get
+        # bools: fmt() prints an np.bool_ as True, and json refuses one.
+        config = case_study_config_dict()
+        config["monitor"].update(
+            profile={"tpr": 1.0, "tnr": 1.0}, intervention_counts_as="excluded",
+            trace_capacity=5,
+        )
+        # The window of 5 first holds only 1s at index 32, which estimates rate 1.
+        bits = [0, 1, 1] * 10 + [1] * 10
+        code, err, out = monitor_bytes(
+            config, "".join(f"{b}\n" for b in bits), output_format, "file", tmp_path
+        )
+        assert code == EXIT_DATA and "cannot renormalize" in err
+        lines = out.decode().splitlines()
+        if output_format == "csv":
+            assert [line.split(",")[1] for line in lines[1:]] == [str(b) for b in bits[:32]]
+        else:
+            verdicts = [json.loads(line)["verdict"] for line in lines]
+            assert verdicts == [bool(b) for b in bits[:32]]
+            assert all(type(v) is bool for v in verdicts)
+
 
 # Config values of the wrong type or outside their domain: each must stop
 # at config load with exit 1 and a message, never a Python traceback.
@@ -509,7 +532,14 @@ BAD_FIELD_VALUES = [
     # Out-of-range numbers: every one is worded by errors.check_range.
     ("monitor", "prior_rate", 1.5, "prior_rate must be in [0, 1], got 1.5"),
     ("monitor", "decay", 0, "decay must be in (0, 1], got 0"),
-    ("monitor", "trace_capacity", 0, "trace_capacity must be >= 1, got 0"),
+    ("monitor", "trace_capacity", 0, "trace_capacity must be in [1, 1000000], got 0"),
+    # Sizes refused before anything of that size is allocated.
+    ("monitor", "trace_capacity", 10**12,
+     "trace_capacity must be in [1, 1000000], got 1000000000000"),
+    ("stream", "horizon", 10**15,
+     "horizon x batch_size must be at most 10000000 samples, got 1000000000000000 x 1"),
+    ("stream", "batch_size", 10**5,
+     "horizon x batch_size must be at most 10000000 samples, got 400 x 100000"),
     ("monitor", "profile", {"tpr": 1.5, "tnr": 0.55}, "tpr must be in [0, 1], got 1.5"),
     ("monitor", "profile", {"tpr": 0.95, "tnr": -0.1}, "tnr must be in [0, 1], got -0.1"),
     (

@@ -5,18 +5,23 @@ from __future__ import annotations
 import csv
 import io
 import json
+from itertools import cycle
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import driftrisk.io as driftrisk_io
 from driftrisk.detectors import SyntheticDetector
 from driftrisk.errors import CalibrationError, ValidationError
 from driftrisk.estimation import DetectorProfile
 from driftrisk.io import (
     ASSESSMENT_COLUMNS,
     TRACE_COLUMNS,
+    AssessmentRenderer,
+    _parse_verdicts,
     emit_assessment,
     fmt,
     format_rows,
@@ -30,7 +35,7 @@ from driftrisk.io import (
 from driftrisk.monitor import Monitor, MonitorConfig
 from driftrisk.simulation import AccuracyOracle, StreamConfig, generate_stream, run_deployment
 
-from conftest import make_full_table
+from conftest import assessment_columns, case_study_config_dict, make_full_table
 
 
 class TestFmt:
@@ -56,10 +61,51 @@ class TestIterVerdicts:
 
     def test_chunks_yield_the_lines_before_a_malformed_one(self):
         chunks = iter_verdict_chunks(["1\n", "\n", "0\n", "1\n", "0\n", "x\n", "1\n"], 4)
-        assert next(chunks) == [True, False, True]
-        assert next(chunks) == [False]
+        assert next(chunks).tolist() == [True, False, True]
+        assert next(chunks).tolist() == [False]
         with pytest.raises(ValidationError, match="line 6: expected verdict 0 or 1, got 'x'"):
             next(chunks)
+
+
+# Lines as a text file yields them: the two that the byte check reads, then
+# lines that only the line parser reads: padded, with a carriage return,
+# blank, a bad token, and a byte that is not UTF-8 (read as a surrogate).
+PLAIN_LINES = st.sampled_from(["0\n", "1\n"])
+OTHER_LINES = st.sampled_from([" 1\n", "0\r\n", "\n", "x\n", "\udcff\n"])
+
+
+def chunks_by_the_line_parser(lines: list[str], size: int) -> tuple[list, str | None]:
+    """The verdicts of each run of ``size`` lines by _parse_verdicts, and its error."""
+    chunks = []
+    for start in range(0, len(lines), size):
+        verdicts, error = _parse_verdicts(lines[start : start + size], start + 1)
+        chunks.append(verdicts)
+        if error is not None:
+            return chunks, str(error)
+    return chunks, None
+
+
+class TestIterVerdictChunks:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        lines=st.lists(st.one_of(PLAIN_LINES, OTHER_LINES), max_size=40),
+        last=st.sampled_from(["", "0", "1", " 1", "x"]),
+        size=st.integers(1, 8),
+    )
+    @example(lines=["1\n", "0\n"] * 8, last="", size=4)
+    @example(lines=["1\n", "0\n"] * 4, last="1", size=3)
+    def test_equals_the_line_parser(self, lines, last, size):
+        # ``last`` is a final line with no newline, or none.
+        lines = lines + [last] if last else lines
+        expected, message = chunks_by_the_line_parser(lines, size)
+        chunks, error = [], None
+        try:
+            for chunk in iter_verdict_chunks(lines, size):
+                assert chunk.dtype == bool and chunk.ndim == 1
+                chunks.append(chunk.tolist())
+        except ValidationError as exc:
+            error = str(exc)
+        assert (chunks, error) == (expected, message)
 
 
 # Values of the types tolist() gives for each assessment column.
@@ -134,6 +180,135 @@ class TestFormatRows:
             for row in rows:
                 emit_assessment(handle, dict(zip(ASSESSMENT_COLUMNS, row)), output_format)
             assert handle.getvalue() == text
+
+
+@st.composite
+def monitor_configs(draw) -> MonitorConfig:
+    """Case-study monitors with windows short enough for states to recur."""
+    payload = case_study_config_dict()["monitor"]
+    capacity = draw(st.integers(1, 6))
+    payload.update(
+        topology=draw(st.sampled_from(["base", "rv"])),
+        trace_capacity=capacity,
+        min_fill=draw(st.integers(1, capacity)),
+        decay=draw(st.sampled_from([1.0, 0.9, 0.5])),
+        profile=draw(st.sampled_from([{"tpr": 0.95, "tnr": 0.55}, {"tpr": 0.9, "tnr": 0.85}])),
+        intervention_counts_as=draw(st.sampled_from(["correct", "excluded"])),
+    )
+    if not draw(st.booleans()):
+        del payload["risk_threshold"]
+    if not draw(st.booleans()):
+        del payload["costs"]
+    return MonitorConfig.from_dict(payload)
+
+
+def reference_rows(first_index, verdicts, assessments, output_format) -> str:
+    columns = assessment_columns(first_index, verdicts.tolist(), assessments)
+    return format_rows(ASSESSMENT_COLUMNS, columns, output_format)
+
+
+class TestAssessmentRenderer:
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        config=monitor_configs(),
+        verdicts=st.lists(st.booleans(), max_size=300),
+        sizes=st.lists(st.integers(1, 64), min_size=1, max_size=6),
+        output_format=st.sampled_from(["csv", "structured"]),
+        kept=st.sampled_from([0, 1, 2**14]),
+    )
+    def test_equals_format_rows_chunk_by_chunk(
+        self, config, verdicts, sizes, output_format, kept
+    ):
+        # ``kept`` stands in for the renderer's size limit: 0 and 1 start
+        # over at almost every chunk.
+        monitor, renderer = Monitor(config), AssessmentRenderer(output_format)
+        index = 0
+        with mock.patch.object(driftrisk_io, "_STATE_TEXTS", kept):
+            for size in cycle(sizes):
+                if index >= len(verdicts):
+                    break
+                chunk = np.array(verdicts[index : index + size], dtype=bool)
+                assessments = monitor.observe_many(chunk)
+                expected = reference_rows(index, chunk, assessments, output_format)
+                assert renderer.rows(index, chunk, assessments) == expected
+                index += len(chunk)
+
+    @pytest.mark.parametrize("output_format", ["csv", "structured"])
+    def test_each_state_is_rendered_once(self, output_format):
+        # A window of 4 with decay 1 has at most 14 states (raw_mean k/fill,
+        # fill 1 to 4), so each chunk after the first finds them all kept.
+        payload = case_study_config_dict()["monitor"]
+        payload.update(trace_capacity=4, min_fill=2)
+        monitor = Monitor(MonitorConfig.from_dict(payload))
+        renderer = AssessmentRenderer(output_format)
+        state_texts = AssessmentRenderer._state_texts
+        rendered, states = [], set()
+
+        def counting(self, assessments, rows):
+            rendered.append(len(rows))
+            return state_texts(self, assessments, rows)
+
+        rng = np.random.default_rng(24)
+        with mock.patch.object(AssessmentRenderer, "_state_texts", counting):
+            for index in range(0, 2000, 400):
+                chunk = rng.random(400) < 0.4
+                assessments = monitor.observe_many(chunk)
+                expected = reference_rows(index, chunk, assessments, output_format)
+                assert renderer.rows(index, chunk, assessments) == expected
+                states.update(zip(assessments.raw_mean.tolist(),
+                                  assessments.fill_fraction.tolist()))
+        assert sum(rendered) == len(states) <= 14
+        assert len(rendered) == 1
+
+    def test_a_state_is_its_mean_and_its_fill(self):
+        # raw_mean 0.5 at fill 2 (kept from the first chunk, in warm-up)
+        # and at fill 4 (the second chunk) are two states, with two texts.
+        payload = case_study_config_dict()["monitor"]
+        payload.update(trace_capacity=4, min_fill=3)
+        monitor = Monitor(MonitorConfig.from_dict(payload))
+        renderer = AssessmentRenderer("csv")
+        index = 0
+        for bits in ([1, 0] + [0] * 8, [1, 1, 0, 0]):
+            chunk = np.array(bits, dtype=bool)
+            assessments = monitor.observe_many(chunk)
+            expected = reference_rows(index, chunk, assessments, "csv")
+            assert renderer.rows(index, chunk, assessments) == expected
+            index += len(chunk)
+        assert len(renderer._texts) == 6
+
+    def test_kept_states_are_bounded(self):
+        # Past the limit the renderer starts over at its next chunk, so it
+        # holds at most the limit plus one chunk's states.
+        payload = case_study_config_dict()["monitor"]
+        payload.update(trace_capacity=6, min_fill=1)
+        monitor = Monitor(MonitorConfig.from_dict(payload))
+        renderer = AssessmentRenderer("structured")
+        rng = np.random.default_rng(6)
+        with mock.patch.object(driftrisk_io, "_STATE_TEXTS", 2):
+            for index in range(0, 600, 60):
+                chunk = rng.random(60) < 0.5
+                assessments = monitor.observe_many(chunk)
+                expected = reference_rows(index, chunk, assessments, "structured")
+                assert renderer.rows(index, chunk, assessments) == expected
+                states = set(zip(assessments.raw_mean.tolist(),
+                                 assessments.fill_fraction.tolist()))
+                assert 0 < len(renderer._texts) <= 2 + len(states)
+
+    def test_a_chunk_of_distinct_states_is_not_kept(self):
+        # With decay below 1 and a long window, no two rows share a state.
+        payload = case_study_config_dict()["monitor"]
+        payload.update(decay=0.98)
+        monitor, renderer = Monitor(MonitorConfig.from_dict(payload)), AssessmentRenderer("csv")
+        chunk = np.random.default_rng(3).random(300) < 0.6
+        assessments = monitor.observe_many(chunk)
+        assert renderer.rows(7, chunk, assessments) == reference_rows(7, chunk, assessments, "csv")
+        assert renderer._texts == {}
+
+    def test_an_empty_chunk_has_no_rows(self):
+        monitor = Monitor(MonitorConfig.from_dict(case_study_config_dict()["monitor"]))
+        empty = np.zeros(0, dtype=bool)
+        for output_format in ("csv", "structured"):
+            assert AssessmentRenderer(output_format).rows(0, empty, monitor.assess(empty)) == ""
 
 
 class TestLabeledRecords:

@@ -9,11 +9,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from driftrisk.errors import ConfigurationError, SnapshotError, UninformativeDetectorError
+from driftrisk.errors import (
+    ConfigurationError,
+    SnapshotError,
+    UninformativeDetectorError,
+    ValidationError,
+)
 from driftrisk.estimation import DetectorProfile, weighted_mean
 from driftrisk.event_tree import TreeParams, build_tree, expected_accuracy, expected_risk
 from driftrisk.detectors import SyntheticDetector
-from driftrisk.monitor import Monitor, MonitorConfig
+from driftrisk.monitor import MAX_TRACE_CAPACITY, Monitor, MonitorConfig
 
 from conftest import CASE_STUDY_COSTS, CASE_STUDY_THRESHOLD, make_full_table
 
@@ -35,6 +40,14 @@ def config(
         prior_rate=prior,
         **kwargs,
     )
+
+
+class TestTraceCapacity:
+    def test_capped_before_the_window_is_allocated(self):
+        # A config allocates nothing; only a Monitor built from it does.
+        assert config(capacity=MAX_TRACE_CAPACITY).trace_capacity == 10**6
+        with pytest.raises(ValidationError, match=r"trace_capacity must be in \[1, 1000000\]"):
+            config(capacity=MAX_TRACE_CAPACITY + 1)
 
 
 class TestObserve:

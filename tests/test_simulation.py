@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from driftrisk.detectors import SyntheticDetector
 from driftrisk.errors import ConfigurationError, ValidationError
@@ -25,6 +25,7 @@ from driftrisk.event_tree import (
 )
 from driftrisk.monitor import Monitor, MonitorConfig
 from driftrisk.simulation import (
+    MAX_STREAM_SAMPLES,
     AccuracyOracle,
     DeploymentTrace,
     OodFold,
@@ -167,6 +168,14 @@ class TestGenerateStream:
         assert ood_acc == pytest.approx(0.33, abs=0.01)
 
 
+class TestStreamSize:
+    def test_samples_capped_before_anything_is_drawn(self):
+        StreamConfig(batch_size=1, shift_rate=0.3, horizon=MAX_STREAM_SAMPLES)
+        StreamConfig(batch_size=MAX_STREAM_SAMPLES, shift_rate=0.3, horizon=1)
+        with pytest.raises(ValidationError, match="at most 10000000 samples, got 5000001 x 2"):
+            StreamConfig(batch_size=2, shift_rate=0.3, horizon=MAX_STREAM_SAMPLES // 2 + 1)
+
+
 class TestPercentileThreshold:
     def test_constant_sequence(self):
         assert ind_percentile_threshold([0.9] * 10, 1.0) == pytest.approx(0.9, abs=1e-12)
@@ -177,6 +186,28 @@ class TestPercentileThreshold:
     def test_order_statistic_oracle(self):
         values = np.linspace(0.0, 1.0, 101)
         assert ind_percentile_threshold(values, 1.0) == pytest.approx(0.01, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, 0.25, 0.5, 0.9375, 1.0]),
+                st.floats(-1e300, 1e300, allow_nan=False),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        percentile=st.one_of(
+            st.sampled_from([0, 1, 1.0, 5.0, 50, 99.5, 100]),
+            st.floats(0, 100),
+        ),
+    )
+    @example(values=[-0.0], percentile=50)
+    @example(values=[0.5, -0.0], percentile=0)
+    @example(values=[0.0, 1.0], percentile=100)
+    def test_equals_np_percentile_bit_for_bit(self, values, percentile):
+        expected = float(np.percentile(values, percentile))
+        assert repr(ind_percentile_threshold(values, percentile)) == repr(expected)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
