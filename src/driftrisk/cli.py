@@ -40,7 +40,7 @@ from .experiments import (
     risk_curve,
 )
 from .detectors import SyntheticDetector
-from .monitor import Monitor
+from .monitor import STEP_FIELDS, Monitor
 from .simulation import clean_batch_threshold, generate_stream, run_deployment
 
 EXIT_OK = 0
@@ -48,6 +48,9 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_ALERT = 3
 EXIT_UNINFORMATIVE = 4
+
+# Where the alert sits in the fields that Monitor.step returns.
+_ALERT = STEP_FIELDS.index("alert")
 
 _SIM_DETECTOR_TAG = 7
 _SIM_VALIDATION_TAG = 8
@@ -134,18 +137,31 @@ def _is_regular_file(stream) -> bool:
         return False
 
 
-def _assess_each(monitor, verdicts, first_index, out, output_format, flush) -> bool:
-    """Observe verdicts one at a time and write a row for each.
+def _assess_each(monitor, lines, out, output_format, flush, first_index=0) -> bool:
+    """Answer each verdict line with its row as soon as the line is read.
 
-    Returns whether any row alerted.
+    Lines are parsed by the rule of io.iter_verdict_chunks, with its line
+    numbers; rows are numbered from first_index.  Returns whether any row
+    alerted.
     """
+    step = monitor.step
+    row = io.step_row_renderer(output_format)
+    write = out.write
     any_alert = False
-    for index, verdict in enumerate(verdicts, start=first_index):
-        assessment = monitor.observe(verdict)
-        any_alert = any_alert or assessment.alert
-        io.emit_assessment(out, io.assessment_row(index, verdict, assessment), output_format)
+    index = first_index
+    for line_no, line in enumerate(lines, start=1):
+        token = line.strip()
+        verdict = io.VERDICT_TOKENS.get(token)
+        if verdict is None:
+            if token:
+                raise io.verdict_error(line_no, token)
+            continue
+        fields = step(verdict)
+        write(row(index, verdict, fields))
         if flush:
             out.flush()
+        any_alert = any_alert or fields[_ALERT]
+        index += 1
     return any_alert
 
 
@@ -162,10 +178,11 @@ def _assess_chunks(monitor, lines, out, output_format) -> bool:
             assessments = monitor.observe_many(verdicts)
         except DriftRiskError:
             # observe_many leaves the monitor unchanged when a verdict fails;
-            # the scalar loop writes the rows before that verdict, then raises.
-            # It takes bools: fmt() prints an np.bool_ as True, not 1.
+            # the scalar loop, given the chunk's verdicts as 0/1 lines,
+            # writes the rows before that verdict, then raises.
             alerted = _assess_each(
-                monitor, verdicts.tolist(), index, out, output_format, flush=False
+                monitor, np.where(verdicts, "1", "0").tolist(), out, output_format,
+                flush=False, first_index=index,
             )
             any_alert = any_alert or alerted
         else:
@@ -205,8 +222,7 @@ def cmd_monitor(args: argparse.Namespace) -> int:
             # A reader on stdout may wait for each reply before sending the
             # next verdict, so every row is flushed there.
             any_alert = _assess_each(
-                monitor, io.iter_verdicts(lines), 0, out_handle, args.format,
-                flush=out_handle is sys.stdout,
+                monitor, lines, out_handle, args.format, flush=out_handle is sys.stdout
             )
     except ValidationError as exc:
         raise _CliError(EXIT_DATA, f"verdict stream: {exc}") from exc

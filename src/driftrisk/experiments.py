@@ -38,6 +38,7 @@ from .event_tree import (
 )
 from .monitor import Monitor, MonitorConfig
 from .simulation import (
+    MAX_STREAM_SAMPLES,
     AccuracyOracle,
     StreamConfig,
     batch_correct_probability,
@@ -81,6 +82,12 @@ def derive_seed(master_seed: int, *coords: int) -> int:
     return int(np.random.SeedSequence([master_seed, *coords]).generate_state(1)[0])
 
 
+# The finest grid_step.  detector_grid walks its whole (1/step + 1)^2
+# lattice in Python, and every profile kept is a cell per rate and trace
+# length; 1e-9 would mean some 10^18 lattice points.
+MIN_GRID_STEP = 0.01
+
+
 @dataclass(frozen=True)
 class SweepGrid:
     """Sweep settings: the error-sweep axes plus the risk-curve and cba extras.
@@ -121,6 +128,19 @@ class SweepGrid:
         for name in ("batch_sizes", "trace_lengths"):
             for value in getattr(self, name):
                 check_range(f"{name} entry", value, 1, integer=True)
+        # Sizes refused before anything of that size is allocated: every
+        # stream a sweep draws holds at most MAX_STREAM_SAMPLES samples.
+        if self.risk_horizon > MAX_STREAM_SAMPLES:
+            raise ValidationError(
+                f"risk_horizon must be at most {MAX_STREAM_SAMPLES} samples, "
+                f"got {self.risk_horizon}"
+            )
+        largest_batch = max(self.batch_sizes, default=1)
+        if self.horizon * largest_batch > MAX_STREAM_SAMPLES:
+            raise ValidationError(
+                f"horizon x max(batch_sizes) must be at most {MAX_STREAM_SAMPLES} "
+                f"samples, got {self.horizon} x {largest_batch}"
+            )
         for value in self.rates:
             check_range("rates entry", value, 0, 1)
         for name in ("classifier_deltas", "detector_deltas"):
@@ -130,6 +150,10 @@ class SweepGrid:
         check_range("percentile", self.percentile, 0, 100)
         if self.grid_step is not None:
             check_range("grid_step", self.grid_step, 0, 1, low_open=True)
+            if self.grid_step < MIN_GRID_STEP:
+                raise ValidationError(
+                    f"grid_step must be at least {MIN_GRID_STEP}, got {self.grid_step!r}"
+                )
         for name in ("mixture_fraction", "operating_rate"):
             if getattr(self, name) is not None:
                 check_range(name, getattr(self, name), 0, 1)

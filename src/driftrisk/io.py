@@ -10,8 +10,9 @@ import csv
 import json
 from functools import lru_cache
 from itertools import chain, islice
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -23,6 +24,10 @@ SCHEMA_VERSION = 1
 
 _TRUTHY = {"1", "true", "t", "yes"}
 _FALSY = {"0", "false", "f", "no"}
+
+# The verdict of each token that a verdict line may hold, once stripped;
+# a line that strips to nothing is skipped.
+VERDICT_TOKENS = {"1": True, "0": False}
 
 # The line "1\n" as a little-endian uint16; "0\n" differs from it in the
 # lowest bit alone.
@@ -96,15 +101,17 @@ def _parse_verdicts(
     verdicts = []
     for line_no, line in enumerate(lines, start=first_line_no):
         token = line.strip()
-        if token == "1":
-            verdicts.append(True)
-        elif token == "0":
-            verdicts.append(False)
+        verdict = VERDICT_TOKENS.get(token)
+        if verdict is not None:
+            verdicts.append(verdict)
         elif token:
-            return verdicts, ValidationError(
-                f"line {line_no}: expected verdict 0 or 1, got {token!r}"
-            )
+            return verdicts, verdict_error(line_no, token)
     return verdicts, None
+
+
+def verdict_error(line_no: int, token: str) -> ValidationError:
+    """The error for a verdict line whose stripped text is ``token``."""
+    return ValidationError(f"line {line_no}: expected verdict 0 or 1, got {token!r}")
 
 
 def _chunk_verdicts(
@@ -146,8 +153,10 @@ def iter_verdict_chunks(lines: Iterable[str], size: int) -> Iterator[np.ndarray]
 def iter_verdicts(lines: Iterable[str]) -> Iterator[bool]:
     """Parse a verdict stream by the iter_verdict_chunks rule, line by line.
 
-    Each verdict is yielded as soon as its line is read, for a reader that
-    answers one verdict at a time.
+    Each verdict is yielded as soon as its line is read.  No command calls
+    it: ``monitor`` on a pipe parses each line in its own loop, by the same
+    rule.  It stays bound because perfbench/spans.py wraps it by name
+    (ROADMAP item 5).
     """
     for line_no, line in enumerate(lines, start=1):
         verdicts, error = _parse_verdicts((line,), line_no)
@@ -228,6 +237,12 @@ ASSESSMENT_COLUMNS = (
 
 
 def assessment_row(index: int, verdict: bool, assessment) -> dict:
+    """The ASSESSMENT_COLUMNS fields of one Assessment, as a dict.
+
+    No command calls it: ``monitor`` on a pipe renders each row with
+    step_row_renderer.  It stays bound because perfbench/spans.py wraps it
+    by name (ROADMAP item 5).
+    """
     estimate = assessment.p_event
     return {
         "index": index,
@@ -244,8 +259,19 @@ def assessment_row(index: int, verdict: bool, assessment) -> dict:
 
 
 def _json_float(value: float) -> str:
-    """A finite float as a JSON line prints it, at 9 significant digits."""
-    return repr(float(format(value, ".9g")))
+    """A float as a JSON line prints it, at 9 significant digits.
+
+    The text is ``repr(float(format(value, ".9g")))``.  A text of at most
+    9 digits with no exponent is already the shortest repr of its float,
+    once a point is added where it has none; only an exponent or a
+    non-finite text goes through repr, which writes 1e+09 as 1000000000.0.
+    """
+    text = format(value, ".9g")
+    if "." in text and "e" not in text:
+        return text
+    if "e" in text or "n" in text:
+        return repr(float(text))
+    return text + ".0"
 
 
 def _json_value(value) -> str:
@@ -433,12 +459,49 @@ class AssessmentRenderer:
         ]
 
 
+def step_row_renderer(output_format: str) -> Callable[[int, bool, tuple], str]:
+    """The row of one verdict from Monitor.step's fields, in the bytes of format_rows.
+
+    The returned function takes the row's index, its verdict and the
+    tuple that ``Monitor.step`` returned for it.  One template per run
+    holds the ASSESSMENT_COLUMNS cells in the format's layout (sorted keys
+    for structured, from _json_layout), so a row is one ``%`` of the cells,
+    each rendered by the cell rules of format_rows.  fill_fraction takes
+    one value per fill, and its text is kept per value.
+    """
+    if output_format == "structured":
+        layout = _json_layout(ASSESSMENT_COLUMNS)
+        template = "{" + ", ".join(prefix + "%s" for _, prefix in layout) + "}\n"
+        in_layout = itemgetter(*(j for j, _ in layout))
+        real, flag, none = _json_float, ("false", "true"), "null"
+    else:
+        template = ",".join(["%s"] * len(ASSESSMENT_COLUMNS)) + "\n"
+        in_layout = tuple
+        real, flag, none = _CSV_CELLS[float], ("0", "1"), ""
+    fill_texts: dict[float, str] = {}
+
+    def row(index: int, verdict: bool, fields: tuple) -> str:
+        raw, p_hat, clamped, fill_fraction, _, accuracy, risk, alert, using_prior = fields
+        fill_text = fill_texts.get(fill_fraction)
+        if fill_text is None:
+            fill_text = fill_texts[fill_fraction] = real(fill_fraction)
+        # The cells in ASSESSMENT_COLUMNS order.
+        return template % in_layout((
+            index, flag[verdict], real(raw), real(p_hat), flag[clamped], fill_text,
+            flag[using_prior], real(accuracy), none if risk is None else real(risk),
+            flag[alert],
+        ))
+
+    return row
+
+
 def emit_assessment(handle: TextIO, row: dict, output_format: str) -> None:
     """Write one record (field name to value, in column order) as format_rows would.
 
-    The values are rendered one by one by the same cell rules, which costs
-    a single row less than format_rows's work per column.  It does not
-    flush; a caller whose reader waits on each line flushes.
+    The values are rendered one by one by the same cell rules.  It does
+    not flush.  No command calls it: ``monitor`` on a pipe renders each
+    row with step_row_renderer.  It stays bound because perfbench/spans.py
+    wraps it by name (ROADMAP item 5).
     """
     if output_format == "structured":
         values = tuple(row.values())

@@ -10,21 +10,23 @@ only its two rate-dependent root edges change from verdict to verdict.
 The Rogan-Gladen constants ``1 - TNR`` and ``J`` are fixed at creation
 too, after the informativeness check.  With decay below 1, so are the
 decayed mean's two tables (``estimation.decay_tables``): the weight of
-each age and the denominator of each fill.  ``observe`` then takes the
+each age and the denominator of each fill.  ``step`` then takes the
 window newest first as one slice of the trace's ring and adds up its
 weights with one sequential ``np.add.accumulate``, which rounds exactly as
 the ``weighted_mean`` loop does; ``observe_many`` reads the same tables.
 
-Three entry points share that arithmetic.  :meth:`Monitor.observe` takes one
-verdict and returns an :class:`Assessment`; it serves a live pipe, one
-reply per verdict.  :meth:`Monitor.assess` takes a whole verdict array (a
-simulated deployment, or a chunk of a recorded verdict file) and returns
-one :class:`Assessments` of arrays after the monitor's window, computed
-with numpy in the same floating-point operations and order as the
-``observe`` loop, so every entry equals that loop's bit for bit; it leaves
-the monitor as it was, so one fresh monitor serves any number of simulated
-deployments of its configuration.  :meth:`Monitor.observe_many` assesses
-an array the same way and then adds it to the window.
+Four entry points share that arithmetic.  :meth:`Monitor.step` takes one
+verdict and returns the fields of its :class:`Assessment` as a plain tuple;
+it serves a live pipe, one reply per verdict.  :meth:`Monitor.observe`
+builds its :class:`Assessment` from that tuple.  :meth:`Monitor.assess`
+takes a whole verdict array (a simulated deployment, or a chunk of a
+recorded verdict file) and returns one :class:`Assessments` of arrays after
+the monitor's window, computed with numpy in the same floating-point
+operations and order as the ``step`` loop, so every entry equals that
+loop's bit for bit; it leaves the monitor as it was, so one fresh monitor
+serves any number of simulated deployments of its configuration.
+:meth:`Monitor.observe_many` assesses an array the same way and then adds
+it to the window.
 
 Monitors are deliberately free of randomness: their full state is the
 config plus the trace window, which is what makes snapshot/restore exact.
@@ -64,6 +66,13 @@ from .event_tree import (  # noqa: F401
 
 SNAPSHOT_FORMAT = "driftrisk.monitor"
 SNAPSHOT_VERSION = 1
+
+# The fields of an Assessment in the order that Monitor.step returns them:
+# those of its RateEstimate, then its own.
+STEP_FIELDS = (
+    "raw_mean", "corrected", "clamped", "fill_fraction", "pre_clamp",
+    "expected_accuracy", "expected_risk", "alert", "using_prior",
+)
 
 # The largest trace_capacity: a monitor allocates its window and, with decay
 # below 1, builds its weight tables at creation, each in proportion to it.
@@ -203,6 +212,13 @@ class Monitor:
         require_informative(config.profile, config.epsilon)
         self._false_positive_rate = 1.0 - config.profile.tnr
         self._informativeness = config.profile.informativeness
+        # The rest of the configuration that each verdict reads.  Risk, and
+        # so an alert, needs costs; unpriced, a threshold is never reached.
+        self._capacity = config.trace_capacity
+        self._min_fill = config.effective_min_fill
+        self._prior_rate = float(config.prior_rate)
+        self._intervention_mode = config.intervention_counts_as
+        self._risk_threshold = config.risk_threshold if config.costs is not None else None
         self.trace = VerdictTrace(config.trace_capacity, _window or ())
         # The decayed mean's weight and denominator tables, for observe and
         # observe_many alike; with decay 1 the mean is positives / fill.
@@ -218,9 +234,13 @@ class Monitor:
         tree = build_tree(config.topology, config.tree_params(config.prior_rate), config.costs)
         self.evaluate = compile_tree(tree, priced=config.costs is not None).evaluate
 
-    def observe(self, verdict: bool) -> Assessment:
-        """Ingest one verdict and produce the updated assessment."""
-        config = self.config
+    def step(self, verdict: bool) -> tuple:
+        """Ingest one verdict; the fields of its :class:`Assessment` as a tuple.
+
+        The fields come in STEP_FIELDS order.  They are what
+        :meth:`observe` returns, without the two objects built around
+        them, for a caller that answers each verdict as it comes.
+        """
         trace = self.trace
         trace.push(verdict)
         fill = trace.fill
@@ -230,32 +250,24 @@ class Monitor:
             # weighted_mean, as decay_tables explains.
             numerators = np.add.accumulate(self._weights[:fill] * trace.newest_first())
             raw = float(numerators[-1] / self._denominators[fill - 1])
-        using_prior = fill < config.effective_min_fill
+        using_prior = fill < self._min_fill
         if using_prior:
-            pre_clamp = corrected = float(config.prior_rate)
+            pre_clamp = corrected = self._prior_rate
         else:
             # Rogan-Gladen, as estimation.rogan_gladen computes it.
             pre_clamp = (raw - self._false_positive_rate) / self._informativeness
             corrected = min(1.0, max(0.0, pre_clamp))
-        accuracy, risk = self.evaluate(corrected, config.intervention_counts_as)
-        alert = (
-            config.risk_threshold is not None
-            and risk is not None
-            and risk > config.risk_threshold
+        accuracy, risk = self.evaluate(corrected, self._intervention_mode)
+        alert = self._risk_threshold is not None and risk > self._risk_threshold
+        return (
+            raw, corrected, corrected != pre_clamp, fill / self._capacity, pre_clamp,
+            accuracy, risk, alert, using_prior,
         )
-        return Assessment(
-            p_event=RateEstimate(
-                raw_mean=raw,
-                corrected=corrected,
-                clamped=corrected != pre_clamp,
-                fill_fraction=trace.fill_fraction,
-                pre_clamp=pre_clamp,
-            ),
-            expected_accuracy=accuracy,
-            expected_risk=risk,
-            alert=alert,
-            using_prior=using_prior,
-        )
+
+    def observe(self, verdict: bool) -> Assessment:
+        """Ingest one verdict and produce the updated assessment."""
+        fields = self.step(verdict)
+        return Assessment(RateEstimate(*fields[:5]), *fields[5:])
 
     def observe_many(self, verdicts: np.ndarray) -> Assessments:
         """Ingest an array of verdicts (bool, or 0/1) and assess each one.
@@ -277,8 +289,7 @@ class Monitor:
         added to its window.
         """
         new = _verdict_array(verdicts)
-        config = self.config
-        capacity = config.trace_capacity
+        capacity = self._capacity
         # The monitor's window, oldest first, then the new verdicts: verdict
         # i sits at seq[start + i] and its window is seq[end[i] - fill[i]:end[i]].
         seq = np.concatenate([self.trace.newest_first()[::-1], new])
@@ -292,16 +303,16 @@ class Monitor:
             raw = (counts[end] - counts[end - fill]).astype(float) / fill
         else:
             raw = self._decayed_means(seq, start, fill)
-        using_prior = fill < config.effective_min_fill
+        using_prior = fill < self._min_fill
         pre_clamp = np.where(
             using_prior,
-            config.prior_rate,
+            self._prior_rate,
             (raw - self._false_positive_rate) / self._informativeness,
         )
         corrected = np.minimum(1.0, np.maximum(0.0, pre_clamp))
-        accuracy, risk = self.evaluate(corrected, config.intervention_counts_as)
-        if config.risk_threshold is not None and risk is not None:
-            alert = risk > config.risk_threshold
+        accuracy, risk = self.evaluate(corrected, self._intervention_mode)
+        if self._risk_threshold is not None:
+            alert = risk > self._risk_threshold
         else:
             alert = np.zeros(len(new), dtype=bool)
         return Assessments(

@@ -190,7 +190,7 @@ def ind_percentile_threshold(ind_batch_accuracies: Sequence[float], percentile: 
     result equals ``np.percentile`` bit for bit on finite values; calling
     that would import numpy.ma, which nothing else here needs.
     """
-    values = np.sort(np.asarray(ind_batch_accuracies, dtype=float), axis=None)
+    values = np.array(ind_batch_accuracies, dtype=float).ravel()  # a copy, partitioned below
     if values.size == 0:
         raise ValidationError("cannot take a percentile of an empty sequence")
     check_range("percentile", percentile, 0, 100)
@@ -199,6 +199,10 @@ def ind_percentile_threshold(ind_batch_accuracies: Sequence[float], percentile: 
     above = below + 1
     if virtual >= values.size - 1:  # past the last value: numpy takes index -1 twice
         below = above = -1
+    # numpy partitions at these positions (in np.unique's order) rather than
+    # sorting; doing the same puts 0.0 and -0.0, which compare equal, where
+    # it puts them.
+    values.partition(sorted({0, -1, below, above}))
     low, high = float(values[below]), float(values[above])
     # numpy's _lerp, with its weight measured from the lower index.
     gamma = virtual - below

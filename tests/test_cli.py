@@ -297,12 +297,14 @@ class TestMonitorCommand:
         assert not out.exists()
 
 
-def monitor_bytes(config, text, output_format, source, tmp_dir):
+def monitor_bytes(config, text, output_format, source, tmp_dir, to_stdout=False):
     """Exit code, stderr and output bytes of one monitor run over ``text``.
 
     ``source`` "file" passes --input, "stdin-file" redirects stdin from a
     regular file, and "stdin-memory" gives stdin as a StringIO (no fileno),
-    which takes the line-by-line path.
+    which takes the line-by-line path.  The rows go to a file given by
+    --output, which the line-by-line path does not flush per row, or with
+    ``to_stdout`` to a stdout that it flushes after every row.
     """
     tmp_dir = Path(tmp_dir)
     config_path = tmp_dir / "config.json"
@@ -310,11 +312,14 @@ def monitor_bytes(config, text, output_format, source, tmp_dir):
     verdicts = tmp_dir / "verdicts.txt"
     verdicts.write_text(text)
     out = tmp_dir / f"out-{source}.txt"
-    argv = ["monitor", "--config", str(config_path), "--output", str(out),
-            "--format", output_format]
-    stderr = io.StringIO()
+    argv = ["monitor", "--config", str(config_path), "--format", output_format]
+    stderr, stdout = io.StringIO(), io.StringIO()
     with contextlib.ExitStack() as stack:
         stack.enter_context(mock.patch.object(sys, "stderr", stderr))
+        if to_stdout:
+            stack.enter_context(mock.patch.object(sys, "stdout", stdout))
+        else:
+            argv += ["--output", str(out)]
         if source == "file":
             argv += ["--input", str(verdicts)]
         elif source == "stdin-file":
@@ -323,6 +328,8 @@ def monitor_bytes(config, text, output_format, source, tmp_dir):
         else:
             stack.enter_context(mock.patch.object(sys, "stdin", io.StringIO(text)))
         code = main(argv)
+    if to_stdout:
+        return code, stderr.getvalue(), stdout.getvalue().encode()
     return code, stderr.getvalue(), out.read_bytes() if out.exists() else None
 
 
@@ -373,7 +380,10 @@ class TestMonitorRegularFile:
         ):
             chunked = monitor_bytes(config, text, output_format, "file", tmp_dir)
             line_by_line = monitor_bytes(config, text, output_format, "stdin-memory", tmp_dir)
-        assert chunked == line_by_line
+            flushed = monitor_bytes(
+                config, text, output_format, "stdin-memory", tmp_dir, to_stdout=True
+            )
+        assert chunked == line_by_line == flushed
 
     @pytest.mark.parametrize("output_format", ["csv", "structured"])
     @pytest.mark.parametrize("decay", [1.0, 0.97])
@@ -447,6 +457,9 @@ class TestMonitorRegularFile:
         assert chunked[0] == EXIT_DATA and "cannot renormalize" in chunked[1]
         assert len(chunked[2].splitlines()) == 1 + 44
         assert chunked == monitor_bytes(config, text, "csv", "stdin-memory", tmp_path)
+        assert chunked == monitor_bytes(
+            config, text, "csv", "stdin-memory", tmp_path, to_stdout=True
+        )
 
     @pytest.mark.parametrize("output_format", ["csv", "structured"])
     def test_rows_before_a_failing_verdict_print_each_verdict(self, tmp_path, output_format):
@@ -540,6 +553,17 @@ BAD_FIELD_VALUES = [
      "horizon x batch_size must be at most 10000000 samples, got 1000000000000000 x 1"),
     ("stream", "batch_size", 10**5,
      "horizon x batch_size must be at most 10000000 samples, got 400 x 100000"),
+    ("sweep", "grid_step", 1e-9, "grid_step must be at least 0.01, got 1e-09"),
+    ("sweep", "risk_horizon", 10**13,
+     "risk_horizon must be at most 10000000 samples, got 10000000000000", "risk-curve"),
+    ("sweep", "risk_horizon", 10**13,
+     "risk_horizon must be at most 10000000 samples, got 10000000000000"),
+    ("sweep", "horizon", 10**13,
+     "horizon x max(batch_sizes) must be at most 10000000 samples, got 10000000000000 x 1",
+     "accuracy-error"),
+    ("sweep", "batch_sizes", [1, 10**5],
+     "horizon x max(batch_sizes) must be at most 10000000 samples, got 200 x 100000",
+     "accuracy-error"),
     ("monitor", "profile", {"tpr": 1.5, "tnr": 0.55}, "tpr must be in [0, 1], got 1.5"),
     ("monitor", "profile", {"tpr": 0.95, "tnr": -0.1}, "tnr must be in [0, 1], got -0.1"),
     (

@@ -21,6 +21,7 @@ from driftrisk.io import (
     ASSESSMENT_COLUMNS,
     TRACE_COLUMNS,
     AssessmentRenderer,
+    _json_float,
     _parse_verdicts,
     emit_assessment,
     fmt,
@@ -28,6 +29,7 @@ from driftrisk.io import (
     iter_verdict_chunks,
     iter_verdicts,
     read_labeled_records,
+    step_row_renderer,
     trace_columns,
     write_rows_csv,
     write_trace_csv,
@@ -48,6 +50,23 @@ class TestFmt:
         assert fmt(False) == "0"
         assert fmt(None) == ""
         assert fmt(7) == "7"
+
+
+class TestJsonFloat:
+    @settings(max_examples=1000, deadline=None, database=None)
+    @given(value=st.floats(allow_nan=False, allow_infinity=False))
+    @example(value=1e-05)
+    @example(value=9.99999999e8)
+    @example(value=1e9)
+    @example(value=123456789012345.0)
+    @example(value=1e16)
+    @example(value=-0.0)
+    @example(value=0.0)
+    @example(value=5e-324)
+    @example(value=1.7976931348623157e308)
+    def test_equals_repr_and_json_dumps_at_nine_digits(self, value):
+        rounded = float(format(value, ".9g"))
+        assert _json_float(value) == repr(rounded) == json.dumps(rounded)
 
 
 class TestIterVerdicts:
@@ -309,6 +328,44 @@ class TestAssessmentRenderer:
         empty = np.zeros(0, dtype=bool)
         for output_format in ("csv", "structured"):
             assert AssessmentRenderer(output_format).rows(0, empty, monitor.assess(empty)) == ""
+
+
+class TestStepRowRenderer:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        rows=st.lists(
+            # A fill fraction is never zero or negative.
+            ROW_VALUES.map(lambda row: row[:5] + (abs(row[5]) or 1.0,) + row[6:]),
+            max_size=5,
+        ),
+        priced=st.booleans(),
+        output_format=st.sampled_from(["csv", "structured"]),
+    )
+    def test_equals_format_rows(self, rows, priced, output_format):
+        rows = [row[:8] + ((row[8] if priced else None),) + row[9:] for row in rows]
+        columns = [list(column) for column in zip(*rows)] or [[] for _ in ASSESSMENT_COLUMNS]
+        render = step_row_renderer(output_format)
+        rendered = []
+        for index, verdict, raw, p_hat, clamped, fill, prior, accuracy, risk, alert in rows:
+            # Monitor.step's fields; pre_clamp is not printed.
+            fields = (raw, p_hat, clamped, fill, None, accuracy, risk, alert, prior)
+            rendered.append(render(index, verdict, fields))
+        assert "".join(rendered) == format_rows(ASSESSMENT_COLUMNS, columns, output_format)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(
+        config=monitor_configs(),
+        verdicts=st.lists(st.booleans(), max_size=60),
+        output_format=st.sampled_from(["csv", "structured"]),
+    )
+    def test_rows_of_a_monitor_equal_its_observe_many_rows(
+        self, config, verdicts, output_format
+    ):
+        monitor, render = Monitor(config), step_row_renderer(output_format)
+        rows = "".join(render(i, v, monitor.step(v)) for i, v in enumerate(verdicts))
+        chunk = np.array(verdicts, dtype=bool)
+        assessments = Monitor(config).observe_many(chunk)
+        assert rows == reference_rows(0, chunk, assessments, output_format)
 
 
 class TestLabeledRecords:

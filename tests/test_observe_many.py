@@ -1,4 +1,4 @@
-"""Monitor.observe_many against a loop of Monitor.observe, and Monitor.assess.
+"""Monitor.observe_many against a loop of Monitor.observe, Monitor.step and Monitor.assess.
 
 Every column of the array result must equal the loop's assessments with
 ``==`` (never approx), and the monitor must end in the state the loop
@@ -6,10 +6,13 @@ leaves, compared through ``snapshot()``.  Covered: both topologies, both
 intervention modes, priced and unpriced, decay 1 and below, min_fill
 below capacity, restored windows and calls split mid-stream.
 ``assess`` must return what ``observe_many`` returns after the same
-window, and leave its monitor's snapshot as it was.
+window, and leave its monitor's snapshot as it was.  ``step`` must return
+the fields of ``observe``'s Assessment, in STEP_FIELDS order.
 """
 
 from __future__ import annotations
+
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -17,9 +20,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from driftrisk.errors import ConfigurationError, ValidationError
-from driftrisk.estimation import AccuracyCell, ConditionalAccuracyTable, DetectorProfile
+from driftrisk.estimation import (
+    AccuracyCell,
+    ConditionalAccuracyTable,
+    DetectorProfile,
+    RateEstimate,
+)
 from driftrisk.event_tree import IND, IND_NEG, IND_POS, OOD, OOD_NEG, OOD_POS, OUTCOMES
-from driftrisk.monitor import Monitor, MonitorConfig
+from driftrisk.monitor import STEP_FIELDS, Assessment, Monitor, MonitorConfig
 
 from conftest import CASE_STUDY_COSTS, CASE_STUDY_THRESHOLD, make_full_table
 
@@ -197,13 +205,50 @@ def test_assess_equals_observe_many_and_changes_nothing(case):
         assert monitor.snapshot() == before
 
 
+def step_columns(monitor: Monitor, verdicts: list[bool]) -> dict[str, list]:
+    """Monitor.step's fields for each verdict, as the columns of Assessments."""
+    steps = [monitor.step(verdict) for verdict in verdicts]
+    return {name: [fields[STEP_FIELDS.index(name)] for fields in steps] for name in COLUMNS}
+
+
+@PROPERTY_SETTINGS
+@given(case=monitor_cases(), integer_prior=st.booleans())
+@example(case=alerting_case(1.0, None), integer_prior=False)
+@example(case=alerting_case(0.9, 3), integer_prior=True)
+def test_step_equals_observe_and_observe_many(case, integer_prior):
+    config, window, verdicts = case
+    if integer_prior:
+        config = replace(config, prior_rate=round(config.prior_rate))
+    stepped, observed, whole = (Monitor(config, _window=window) for _ in range(3))
+    try:
+        expected = loop_columns(observed, verdicts)
+    except ConfigurationError:
+        # "excluded" with every reachable leaf an intervention at this rate.
+        with pytest.raises(ConfigurationError):
+            step_columns(stepped, verdicts)
+        return
+    columns = step_columns(stepped, verdicts)
+    assert columns == expected
+    assert all(type(value) is float for value in columns["corrected"])
+    assert stepped.snapshot() == observed.snapshot()
+    assert array_columns(whole.observe_many(np.array(verdicts, dtype=bool))) == expected
+
+
+def test_step_fields_are_an_assessments_fields():
+    estimate = [f.name for f in fields(RateEstimate)]
+    own = [f.name for f in fields(Assessment) if f.name != "p_event"]
+    assert list(STEP_FIELDS) == estimate + own
+
+
 def test_alerting_case_alerts_on_some_verdicts():
     # The explicit examples above exercise the alert column both ways.
     for decay in (1.0, 0.9):
         for min_fill in (None, 3):
             config, _, verdicts = alerting_case(decay, min_fill)
-            alert = Monitor(config).observe_many(np.array(verdicts)).alert
-            assert alert.any() and not alert.all()
+            result = Monitor(config).observe_many(np.array(verdicts))
+            assert result.alert.any() and not result.alert.all()
+            # They clamp the rate at both ends, too.
+            assert set(result.corrected[result.clamped].tolist()) == {0.0, 1.0}
 
 
 def case_monitor(**overrides) -> Monitor:
