@@ -46,7 +46,7 @@ from .event_tree import (
     sensitivity,
 )
 from .detectors import SyntheticDetector, detector_grid
-from .monitor import Assessment, Assessments, Monitor, MonitorConfig
+from .monitor import Assessment, Monitor, MonitorConfig
 from .simulation import (
     AccuracyOracle,
     DeploymentTrace,

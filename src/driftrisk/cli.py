@@ -40,7 +40,7 @@ from .experiments import (
     risk_curve,
 )
 from .detectors import SyntheticDetector
-from .monitor import STEP_FIELDS, Monitor
+from .monitor import Monitor
 from .simulation import clean_batch_threshold, generate_stream, run_deployment
 
 EXIT_OK = 0
@@ -48,9 +48,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_ALERT = 3
 EXIT_UNINFORMATIVE = 4
-
-# Where the alert sits in the fields that Monitor.step returns.
-_ALERT = STEP_FIELDS.index("alert")
 
 _SIM_DETECTOR_TAG = 7
 _SIM_VALIDATION_TAG = 8
@@ -156,11 +153,11 @@ def _assess_each(monitor, lines, out, output_format, flush, first_index=0) -> bo
             if token:
                 raise io.verdict_error(line_no, token)
             continue
-        fields = step(verdict)
-        write(row(index, verdict, fields))
+        assessment = step(verdict)
+        write(row(index, verdict, assessment))
         if flush:
             out.flush()
-        any_alert = any_alert or fields[_ALERT]
+        any_alert = any_alert or assessment.alert
         index += 1
     return any_alert
 
@@ -211,8 +208,10 @@ def cmd_monitor(args: argparse.Namespace) -> int:
             raise _CliError(EXIT_DATA, f"cannot read verdicts: {exc}") from exc
         lines = close_input
 
-    out_handle = sys.stdout if args.output is None else open(args.output, "w", encoding="utf-8")
+    out_handle = sys.stdout
     try:
+        if args.output is not None:
+            out_handle = open(args.output, "w", encoding="utf-8")
         if args.format != "structured":
             out_handle.write(",".join(io.ASSESSMENT_COLUMNS) + "\n")
         if _is_regular_file(lines):

@@ -87,6 +87,10 @@ def derive_seed(master_seed: int, *coords: int) -> int:
 # length; 1e-9 would mean some 10^18 lattice points.
 MIN_GRID_STEP = 0.01
 
+# The most seeds per cell: a rate-error cell holds a few arrays of one
+# entry per seed, and an accuracy-error cell runs one deployment per seed.
+MAX_SEEDS_PER_CELL = 10**6
+
 
 @dataclass(frozen=True)
 class SweepGrid:
@@ -140,6 +144,17 @@ class SweepGrid:
             raise ValidationError(
                 f"horizon x max(batch_sizes) must be at most {MAX_STREAM_SAMPLES} "
                 f"samples, got {self.horizon} x {largest_batch}"
+            )
+        # clean_batch_threshold draws validation_batches x batch_size samples.
+        if self.validation_batches * largest_batch > MAX_STREAM_SAMPLES:
+            raise ValidationError(
+                f"validation_batches x max(batch_sizes) must be at most "
+                f"{MAX_STREAM_SAMPLES} samples, got {self.validation_batches} x {largest_batch}"
+            )
+        if self.seeds_per_cell > MAX_SEEDS_PER_CELL:
+            raise ValidationError(
+                f"seeds_per_cell must be at most {MAX_SEEDS_PER_CELL}, "
+                f"got {self.seeds_per_cell}"
             )
         for value in self.rates:
             check_range("rates entry", value, 0, 1)

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TextIO
 import numpy as np
 
 from .errors import CalibrationError, ValidationError
-from .monitor import Assessments
+from .monitor import Assessment
 from .simulation import DeploymentTrace
 
 SCHEMA_VERSION = 1
@@ -236,21 +236,20 @@ ASSESSMENT_COLUMNS = (
 )
 
 
-def assessment_row(index: int, verdict: bool, assessment) -> dict:
-    """The ASSESSMENT_COLUMNS fields of one Assessment, as a dict.
+def assessment_row(index: int, verdict: bool, assessment: Assessment) -> dict:
+    """The ASSESSMENT_COLUMNS fields of one Assessment from Monitor.step, as a dict.
 
     No command calls it: ``monitor`` on a pipe renders each row with
     step_row_renderer.  It stays bound because perfbench/spans.py wraps it
     by name (ROADMAP item 5).
     """
-    estimate = assessment.p_event
     return {
         "index": index,
         "verdict": verdict,
-        "raw_mean": estimate.raw_mean,
-        "p_hat": estimate.corrected,
-        "clamped": estimate.clamped,
-        "fill_fraction": estimate.fill_fraction,
+        "raw_mean": assessment.raw_mean,
+        "p_hat": assessment.corrected,
+        "clamped": assessment.clamped,
+        "fill_fraction": assessment.fill_fraction,
         "using_prior": assessment.using_prior,
         "expected_accuracy": assessment.expected_accuracy,
         "expected_risk": assessment.expected_risk,
@@ -345,11 +344,11 @@ def _distinct_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return order[new], inverse
 
 
-def _state_column(assessments: Assessments, name: str, rows: np.ndarray):
+def _state_column(assessments: Assessment, name: str, rows: np.ndarray):
     """Field ``name`` of the rows at ``rows``, as a format_rows column.
 
     ``name`` is an ASSESSMENT_COLUMNS field but index and verdict; each is
-    the Assessments entry of that name, but p_hat, which is ``corrected``.
+    the Assessment field of that name, but p_hat, which is ``corrected``.
     """
     values = getattr(assessments, "corrected" if name == "p_hat" else name)
     if values is None:  # expected_risk, without costs
@@ -399,7 +398,7 @@ class AssessmentRenderer:
         # positive verdict, the text of a row before and after its index.
         self._texts: dict[tuple[int, int], tuple[tuple[str, str], ...]] = {}
 
-    def rows(self, first_index: int, verdicts: np.ndarray, assessments: Assessments) -> str:
+    def rows(self, first_index: int, verdicts: np.ndarray, assessments: Assessment) -> str:
         """The rows of one observe_many call: verdict i at index first_index + i."""
         count = len(verdicts)
         raw = assessments.raw_mean.view(np.int64)
@@ -432,7 +431,7 @@ class AssessmentRenderer:
             map(halves.__getitem__, (2 * state + verdicts).tolist()),
         ))
 
-    def _state_texts(self, assessments: Assessments, rows: np.ndarray) -> list:
+    def _state_texts(self, assessments: Assessment, rows: np.ndarray) -> list:
         """The texts that the renderer keeps, of the states of the rows at ``rows``."""
         before, between, after = (
             [
@@ -459,15 +458,15 @@ class AssessmentRenderer:
         ]
 
 
-def step_row_renderer(output_format: str) -> Callable[[int, bool, tuple], str]:
-    """The row of one verdict from Monitor.step's fields, in the bytes of format_rows.
+def step_row_renderer(output_format: str) -> Callable[[int, bool, Assessment], str]:
+    """The row of one verdict from its Monitor.step record, in the bytes of format_rows.
 
     The returned function takes the row's index, its verdict and the
-    tuple that ``Monitor.step`` returned for it.  One template per run
-    holds the ASSESSMENT_COLUMNS cells in the format's layout (sorted keys
-    for structured, from _json_layout), so a row is one ``%`` of the cells,
-    each rendered by the cell rules of format_rows.  fill_fraction takes
-    one value per fill, and its text is kept per value.
+    scalar Assessment that ``Monitor.step`` returned for it.  One template
+    per run holds the ASSESSMENT_COLUMNS cells in the format's layout
+    (sorted keys for structured, from _json_layout), so a row is one ``%``
+    of the cells, each rendered by the cell rules of format_rows.
+    fill_fraction takes one value per fill, and its text is kept per value.
     """
     if output_format == "structured":
         layout = _json_layout(ASSESSMENT_COLUMNS)
@@ -480,8 +479,8 @@ def step_row_renderer(output_format: str) -> Callable[[int, bool, tuple], str]:
         real, flag, none = _CSV_CELLS[float], ("0", "1"), ""
     fill_texts: dict[float, str] = {}
 
-    def row(index: int, verdict: bool, fields: tuple) -> str:
-        raw, p_hat, clamped, fill_fraction, _, accuracy, risk, alert, using_prior = fields
+    def row(index: int, verdict: bool, assessment: Assessment) -> str:
+        raw, p_hat, clamped, fill_fraction, using_prior, accuracy, risk, alert, _ = assessment
         fill_text = fill_texts.get(fill_fraction)
         if fill_text is None:
             fill_text = fill_texts[fill_fraction] = real(fill_fraction)

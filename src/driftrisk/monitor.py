@@ -15,18 +15,18 @@ window newest first as one slice of the trace's ring and adds up its
 weights with one sequential ``np.add.accumulate``, which rounds exactly as
 the ``weighted_mean`` loop does; ``observe_many`` reads the same tables.
 
-Four entry points share that arithmetic.  :meth:`Monitor.step` takes one
-verdict and returns the fields of its :class:`Assessment` as a plain tuple;
-it serves a live pipe, one reply per verdict.  :meth:`Monitor.observe`
-builds its :class:`Assessment` from that tuple.  :meth:`Monitor.assess`
-takes a whole verdict array (a simulated deployment, or a chunk of a
-recorded verdict file) and returns one :class:`Assessments` of arrays after
-the monitor's window, computed with numpy in the same floating-point
-operations and order as the ``step`` loop, so every entry equals that
-loop's bit for bit; it leaves the monitor as it was, so one fresh monitor
-serves any number of simulated deployments of its configuration.
-:meth:`Monitor.observe_many` assesses an array the same way and then adds
-it to the window.
+Three entry points share that arithmetic, and each returns one
+:class:`Assessment`.  :meth:`Monitor.step` takes one verdict and returns
+the record with scalar fields; it serves a live pipe, one reply per
+verdict.  :meth:`Monitor.assess` takes a whole verdict array (a simulated
+deployment, or a chunk of a recorded verdict file) and returns the record
+with one array entry per verdict, after the monitor's window, computed
+with numpy in the same floating-point operations and order as the
+``step`` loop, so every entry equals that loop's bit for bit; it leaves
+the monitor as it was, so one fresh monitor serves any number of
+simulated deployments of its configuration.  :meth:`Monitor.observe_many`
+assesses an array the same way and then adds it to the window.
+``Monitor.observe`` is ``step`` under the name the tracer wraps.
 
 Monitors are deliberately free of randomness: their full state is the
 config plus the trace window, which is what makes snapshot/restore exact.
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,7 +45,6 @@ from .estimation import (
     DEFAULT_J_FLOOR,
     ConditionalAccuracyTable,
     DetectorProfile,
-    RateEstimate,
     VerdictTrace,
     decay_tables,
     require_informative,
@@ -66,13 +66,6 @@ from .event_tree import (  # noqa: F401
 
 SNAPSHOT_FORMAT = "driftrisk.monitor"
 SNAPSHOT_VERSION = 1
-
-# The fields of an Assessment in the order that Monitor.step returns them:
-# those of its RateEstimate, then its own.
-STEP_FIELDS = (
-    "raw_mean", "corrected", "clamped", "fill_fraction", "pre_clamp",
-    "expected_accuracy", "expected_risk", "alert", "using_prior",
-)
 
 # The largest trace_capacity: a monitor allocates its window and, with decay
 # below 1, builds its weight tables at creation, each in proportion to it.
@@ -156,38 +149,31 @@ class MonitorConfig:
         return cls(**kwargs)
 
 
-@dataclass(frozen=True)
-class Assessment:
-    """One monitor output for one observed verdict."""
+class Assessment(NamedTuple):
+    """The monitor's output: the rate estimate and what the tree makes of it.
 
-    p_event: RateEstimate
+    From :meth:`Monitor.step`, each field holds the value for one verdict.
+    From :meth:`Monitor.assess` and :meth:`Monitor.observe_many`, each is a
+    float64 or bool array with one entry per verdict, and expected_risk is
+    None when the monitor has no costs.  The fields come in the order of
+    the output columns, where ``corrected`` is written as ``p_hat``;
+    pre_clamp, the corrected rate before the clip to [0, 1], is not written.
+    """
+
+    raw_mean: float
+    corrected: float
+    clamped: bool
+    fill_fraction: float
+    using_prior: bool
     expected_accuracy: float
     expected_risk: float | None
     alert: bool
-    using_prior: bool
+    pre_clamp: float
 
 
-@dataclass(frozen=True)
-class Assessments:
-    """Monitor outputs for an array of verdicts, one entry per verdict.
-
-    Entry i holds the fields of the :class:`Assessment` (and its
-    :class:`RateEstimate`) that the i-th call of an ``observe`` loop
-    returns.  ``expected_risk`` is None when the monitor has no costs.
-    """
-
-    raw_mean: np.ndarray           # float
-    corrected: np.ndarray          # float
-    pre_clamp: np.ndarray          # float
-    clamped: np.ndarray            # bool
-    fill_fraction: np.ndarray      # float
-    using_prior: np.ndarray        # bool
-    expected_accuracy: np.ndarray  # float
-    expected_risk: np.ndarray | None
-    alert: np.ndarray              # bool
-
-    def __len__(self) -> int:
-        return len(self.alert)
+# A record from a tuple of its fields, as namedtuple's _make builds it: in
+# about half the time of Assessment(...), which step would pay per verdict.
+_new_tuple = tuple.__new__
 
 
 def _verdict_array(verdicts: np.ndarray) -> np.ndarray:
@@ -220,8 +206,8 @@ class Monitor:
         self._intervention_mode = config.intervention_counts_as
         self._risk_threshold = config.risk_threshold if config.costs is not None else None
         self.trace = VerdictTrace(config.trace_capacity, _window or ())
-        # The decayed mean's weight and denominator tables, for observe and
-        # observe_many alike; with decay 1 the mean is positives / fill.
+        # The decayed mean's weight and denominator tables, for step and
+        # assess alike; with decay 1 the mean is positives / fill.
         self._weights = self._denominators = None
         if config.decay < 1.0:
             self._weights, self._denominators = decay_tables(
@@ -234,13 +220,8 @@ class Monitor:
         tree = build_tree(config.topology, config.tree_params(config.prior_rate), config.costs)
         self.evaluate = compile_tree(tree, priced=config.costs is not None).evaluate
 
-    def step(self, verdict: bool) -> tuple:
-        """Ingest one verdict; the fields of its :class:`Assessment` as a tuple.
-
-        The fields come in STEP_FIELDS order.  They are what
-        :meth:`observe` returns, without the two objects built around
-        them, for a caller that answers each verdict as it comes.
-        """
+    def step(self, verdict: bool) -> Assessment:
+        """Ingest one verdict and return its :class:`Assessment`."""
         trace = self.trace
         trace.push(verdict)
         fill = trace.fill
@@ -259,20 +240,19 @@ class Monitor:
             corrected = min(1.0, max(0.0, pre_clamp))
         accuracy, risk = self.evaluate(corrected, self._intervention_mode)
         alert = self._risk_threshold is not None and risk > self._risk_threshold
-        return (
-            raw, corrected, corrected != pre_clamp, fill / self._capacity, pre_clamp,
-            accuracy, risk, alert, using_prior,
-        )
+        return _new_tuple(Assessment, (
+            raw, corrected, corrected != pre_clamp, fill / self._capacity, using_prior,
+            accuracy, risk, alert, pre_clamp,
+        ))
 
-    def observe(self, verdict: bool) -> Assessment:
-        """Ingest one verdict and produce the updated assessment."""
-        fields = self.step(verdict)
-        return Assessment(RateEstimate(*fields[:5]), *fields[5:])
+    # No command or test calls observe; perfbench/spans.py wraps
+    # Monitor.observe by name, so the name stays bound.
+    observe = step
 
-    def observe_many(self, verdicts: np.ndarray) -> Assessments:
+    def observe_many(self, verdicts: np.ndarray) -> Assessment:
         """Ingest an array of verdicts (bool, or 0/1) and assess each one.
 
-        Every entry equals, bit for bit, what a loop of :meth:`observe` over
+        Every entry equals, bit for bit, what a loop of :meth:`step` over
         the same verdicts returns, and the monitor ends in the state that
         loop leaves, so :meth:`snapshot` afterwards is the same.  If the
         tree evaluation raises, the monitor is left unchanged.
@@ -281,7 +261,7 @@ class Monitor:
         self.trace.extend(verdicts)
         return assessments
 
-    def assess(self, verdicts: np.ndarray) -> Assessments:
+    def assess(self, verdicts: np.ndarray) -> Assessment:
         """Assess an array of verdicts (bool, or 0/1) after this monitor's window.
 
         The entries equal what :meth:`observe_many` returns on the same
@@ -315,16 +295,16 @@ class Monitor:
             alert = risk > self._risk_threshold
         else:
             alert = np.zeros(len(new), dtype=bool)
-        return Assessments(
+        return Assessment(
             raw_mean=raw,
             corrected=corrected,
-            pre_clamp=pre_clamp,
             clamped=corrected != pre_clamp,
             fill_fraction=fill / capacity,
             using_prior=using_prior,
             expected_accuracy=accuracy,
             expected_risk=risk,
             alert=alert,
+            pre_clamp=pre_clamp,
         )
 
     def _decayed_means(self, seq: np.ndarray, start: int, fill: np.ndarray) -> np.ndarray:

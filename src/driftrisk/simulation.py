@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .monitor import Assessments
+    from .monitor import Assessment
 
 from .errors import ConfigurationError, ValidationError, check_range
 from .event_tree import (
@@ -283,7 +283,7 @@ class DeploymentTrace:
     verdict: np.ndarray         # bool: the detector's verdict
     batch_accuracy: np.ndarray  # float: realized mean accuracy
     batch_correct: np.ndarray   # bool: batch_accuracy reaches the threshold
-    assessments: "Assessments"  # the monitor's output for each verdict
+    assessments: "Assessment"  # the monitor's output for each verdict
 
     def __len__(self) -> int:
         return len(self.verdict)
@@ -343,7 +343,7 @@ def run_deployment(
 
     All verdicts come from one judge_many draw, which equals a judge_batch
     call per batch on the same generator, and the monitor assesses them in
-    one assess call, which equals an observe call per batch.  The monitor
+    one assess call, which equals a step call per batch.  The monitor
     itself is left unchanged, so one monitor serves every deployment of its
     configuration.
     """

@@ -7,7 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from driftrisk.estimation import AccuracyCell, ConditionalAccuracyTable, DetectorProfile
+from driftrisk.estimation import (
+    AccuracyCell,
+    ConditionalAccuracyTable,
+    DetectorProfile,
+    forward_bias,
+)
 from driftrisk.event_tree import (
     IND,
     IND_NEG,
@@ -188,6 +193,47 @@ def oracle_risk(tree, costs) -> float:
             continue
         terms.append(prob * cost)
     return math.fsum(terms)
+
+
+def window_law(window: int, profile: DetectorProfile, rate: float) -> np.ndarray:
+    """The pmf over 0..window of a full window's positive count.
+
+    With decay 1 and verdicts drawn independently at the true rate, the
+    count is Binomial(window, t), t = forward_bias(rate, profile).  Each
+    log-probability takes three lgamma calls, so the law costs O(window).
+    A decayed (weighted) count is not binomial; this is no law for it.
+    """
+    t = forward_bias(rate, profile)
+    if t in (0.0, 1.0):
+        pmf = np.zeros(window + 1)
+        pmf[0 if t == 0.0 else window] = 1.0
+        return pmf
+    counts = np.arange(window + 1)
+    log_choose = np.array([
+        math.lgamma(window + 1) - math.lgamma(k + 1) - math.lgamma(window - k + 1)
+        for k in range(window + 1)
+    ])
+    return np.exp(log_choose + counts * math.log(t) + (window - counts) * math.log1p(-t))
+
+
+def exact_rate_error(window: int, profile: DetectorProfile, rate: float) -> dict:
+    """The exact law of a rate-error cell's per-seed error, from window_law.
+
+    The error of a window with K positives is clip(RG(K / window)) - rate,
+    RG the Rogan-Gladen correction, computed as rate_error_cell computes
+    it.  Returns the mean and the standard deviation of its absolute
+    value (``mae``, ``mae_sd``) and of its signed value (``signed``,
+    ``signed_sd``).
+    """
+    pmf = window_law(window, profile, rate)
+    means = np.arange(window + 1) / window
+    corrected = np.clip((means - (1.0 - profile.tnr)) / profile.informativeness, 0.0, 1.0)
+    moments = {}
+    for name, errors in (("mae", np.abs(corrected - rate)), ("signed", corrected - rate)):
+        mean = math.fsum(pmf * errors)
+        moments[name] = mean
+        moments[f"{name}_sd"] = math.sqrt(max(0.0, math.fsum(pmf * (errors - mean) ** 2)))
+    return moments
 
 
 def assert_close(actual: float, expected: float, tol: float) -> None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import gc
 import io
 import json
 import math
@@ -12,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -564,6 +566,13 @@ BAD_FIELD_VALUES = [
     ("sweep", "batch_sizes", [1, 10**5],
      "horizon x max(batch_sizes) must be at most 10000000 samples, got 200 x 100000",
      "accuracy-error"),
+    ("sweep", "seeds_per_cell", 10**15,
+     "seeds_per_cell must be at most 1000000, got 1000000000000000"),
+    ("sweep", "seeds_per_cell", 10**15,
+     "seeds_per_cell must be at most 1000000, got 1000000000000000", "rate-error"),
+    ("sweep", "validation_batches", 10**15,
+     "validation_batches x max(batch_sizes) must be at most 10000000 samples, "
+     "got 1000000000000000 x 1"),
     ("monitor", "profile", {"tpr": 1.5, "tnr": 0.55}, "tpr must be in [0, 1], got 1.5"),
     ("monitor", "profile", {"tpr": 0.95, "tnr": -0.1}, "tnr must be in [0, 1], got -0.1"),
     (
@@ -982,6 +991,19 @@ class TestOutputDiscipline:
         )
         assert code == EXIT_USAGE
         assert "driftrisk:" in capsys.readouterr().err
+
+    def test_unwritable_monitor_output_closes_the_input(self, tmp_path, config_path, capsys):
+        verdicts = write_verdicts(tmp_path, [0, 1, 0])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(
+                ["monitor", "--config", config_path, "--input", verdicts,
+                 "--output", str(tmp_path / "no" / "such" / "dir" / "m.csv")]
+            )
+            gc.collect()
+        assert code == EXIT_USAGE
+        assert "driftrisk:" in capsys.readouterr().err
+        assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 
     def test_no_writes_outside_declared_paths(self, tmp_path, config_path, monkeypatch):
         workdir = tmp_path / "cwd"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import concurrent.futures
+import math
 import os
 from unittest import mock
 
@@ -38,8 +39,10 @@ from conftest import (
     CASE_STUDY_COSTS,
     CASE_STUDY_PROFILE,
     CASE_STUDY_THRESHOLD,
+    exact_rate_error,
     make_rv_params,
     where_judge_many,
+    window_law,
 )
 
 
@@ -216,6 +219,44 @@ class TestErrorReport:
 
 
 class TestRateErrorSweep:
+    def test_cells_agree_with_the_exact_binomial_law(self):
+        # Each seed's error is an independent draw from the law of
+        # exact_rate_error, so a cell's mean error has standard error
+        # sd / sqrt(n).  Bounds fixed in advance: |z| <= 4 on every cell
+        # and |mean z| <= 4 / sqrt(cells), for the MAE and the signed error.
+        grid = SweepGrid(
+            rates=(0.0, 0.05, 0.2, 0.5, 0.8, 0.95, 1.0),
+            profiles=(
+                DetectorProfile(0.95, 0.55),
+                DetectorProfile(0.9, 0.85),
+                DetectorProfile(0.7, 0.6),
+                DetectorProfile(1.0, 1.0),
+                DetectorProfile(0.5, 0.5),
+            ),
+            trace_lengths=(10, 40),
+            seeds_per_cell=400,
+            horizon=100,
+            master_seed=11,
+        )
+        n = grid.seeds_per_cell
+        z = {"mae": [], "signed": []}
+        for cell in rate_error_sweep(grid).cells:
+            if cell.refused:
+                continue
+            profile = DetectorProfile(cell.axes["tpr"], cell.axes["tnr"])
+            law = window_law(cell.axes["trace_length"], profile, cell.axes["rate"])
+            assert math.fsum(law) == pytest.approx(1.0, abs=1e-12)
+            exact = exact_rate_error(cell.axes["trace_length"], profile, cell.axes["rate"])
+            for name, value in (("mae", cell.mae), ("signed", cell.mean_signed_error)):
+                if exact[f"{name}_sd"] == 0.0:
+                    assert value == pytest.approx(exact[name], abs=1e-12)
+                else:
+                    z[name].append((value - exact[name]) / (exact[f"{name}_sd"] / math.sqrt(n)))
+        for name, scores in z.items():
+            assert len(scores) >= 50, name
+            assert max(map(abs, scores)) <= 4.0, name
+            assert abs(sum(scores) / len(scores)) <= 4.0 / math.sqrt(len(scores)), name
+
     def test_perfect_detector_error_bound(self):
         window = 400
         grid = SweepGrid(
@@ -421,6 +462,13 @@ class TestAccuracyErrorSweep:
             accs = (rng.random((400, batch_size)) < 0.85).mean(axis=1)
             expected = float(np.percentile(accs, percentile))
         assert experiments.validation_threshold(grid, oracle, batch_size) == expected
+
+    def test_validation_draw_is_capped_by_the_largest_batch(self):
+        # Only a grid is built: nothing of the refused size is drawn.
+        SweepGrid(validation_batches=10**6, batch_sizes=(1, 10))
+        with pytest.raises(ValidationError, match="got 1000000 x 16"):
+            SweepGrid(validation_batches=10**6, batch_sizes=(16, 1))
+        SweepGrid(seeds_per_cell=experiments.MAX_SEEDS_PER_CELL)
 
     def test_batched_accuracy_table_values(self):
         oracle = AccuracyOracle.single(0.9, 0.2)

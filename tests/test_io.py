@@ -23,6 +23,7 @@ from driftrisk.io import (
     AssessmentRenderer,
     _json_float,
     _parse_verdicts,
+    assessment_row,
     emit_assessment,
     fmt,
     format_rows,
@@ -34,7 +35,7 @@ from driftrisk.io import (
     write_rows_csv,
     write_trace_csv,
 )
-from driftrisk.monitor import Monitor, MonitorConfig
+from driftrisk.monitor import Assessment, Monitor, MonitorConfig
 from driftrisk.simulation import AccuracyOracle, StreamConfig, generate_stream, run_deployment
 
 from conftest import assessment_columns, case_study_config_dict, make_full_table
@@ -347,9 +348,9 @@ class TestStepRowRenderer:
         render = step_row_renderer(output_format)
         rendered = []
         for index, verdict, raw, p_hat, clamped, fill, prior, accuracy, risk, alert in rows:
-            # Monitor.step's fields; pre_clamp is not printed.
-            fields = (raw, p_hat, clamped, fill, None, accuracy, risk, alert, prior)
-            rendered.append(render(index, verdict, fields))
+            # pre_clamp is not printed.
+            assessment = Assessment(raw, p_hat, clamped, fill, prior, accuracy, risk, alert, None)
+            rendered.append(render(index, verdict, assessment))
         assert "".join(rendered) == format_rows(ASSESSMENT_COLUMNS, columns, output_format)
 
     @settings(max_examples=100, deadline=None, database=None)
@@ -366,6 +367,25 @@ class TestStepRowRenderer:
         chunk = np.array(verdicts, dtype=bool)
         assessments = Monitor(config).observe_many(chunk)
         assert rows == reference_rows(0, chunk, assessments, output_format)
+
+    @pytest.mark.parametrize("output_format", ["csv", "structured"])
+    def test_equals_emit_assessment_of_assessment_row(self, output_format):
+        monitor = Monitor(MonitorConfig.from_dict(case_study_config_dict()["monitor"]))
+        render, handle = step_row_renderer(output_format), io.StringIO()
+        rows = []
+        for index, verdict in enumerate([True, False] * 300):
+            assessment = monitor.step(verdict)
+            rows.append(render(index, verdict, assessment))
+            emit_assessment(handle, assessment_row(index, verdict, assessment), output_format)
+        assert handle.getvalue() == "".join(rows)
+
+
+def test_assessment_columns_are_the_assessment_fields():
+    # The record and the rows share one order: corrected is written as
+    # p_hat, and pre_clamp is not written.
+    fields = [{"corrected": "p_hat"}.get(name, name) for name in Assessment._fields]
+    assert ASSESSMENT_COLUMNS[:2] == ("index", "verdict")
+    assert list(ASSESSMENT_COLUMNS[2:]) == fields[:-1] and fields[-1] == "pre_clamp"
 
 
 class TestLabeledRecords:

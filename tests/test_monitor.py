@@ -54,29 +54,29 @@ class TestObserve:
     def test_prior_phase(self):
         monitor = Monitor(config(capacity=5, prior=0.42))
         for i in range(4):
-            assessment = monitor.observe(False)
+            assessment = monitor.step(False)
             assert assessment.using_prior
-            assert assessment.p_event.corrected == 0.42
-        assessment = monitor.observe(False)
+            assert assessment.corrected == 0.42
+        assessment = monitor.step(False)
         assert not assessment.using_prior
 
     def test_integer_prior_is_a_float_rate(self):
-        # observe_many gives warm-up rates as floats; observe must too, or
+        # observe_many gives warm-up rates as floats; step must too, or
         # structured output prints an integer prior_rate 1 as 1, not 1.0.
         monitor = Monitor(config(capacity=5, prior=1))
-        estimate = monitor.observe(True).p_event
-        assert type(estimate.corrected) is float and type(estimate.pre_clamp) is float
+        assessment = monitor.step(True)
+        assert type(assessment.corrected) is float and type(assessment.pre_clamp) is float
 
     def test_prior_lasts_exactly_min_fill_minus_one(self):
         monitor = Monitor(config(capacity=10, min_fill=4))
-        flags = [monitor.observe(True).using_prior for _ in range(8)]
+        flags = [monitor.step(True).using_prior for _ in range(8)]
         assert flags == [True] * 3 + [False] * 5
 
     def test_all_negative_with_perfect_detector(self):
         monitor = Monitor(config(profile=DetectorProfile(1.0, 1.0), capacity=5))
         for _ in range(5):
-            assessment = monitor.observe(False)
-        assert assessment.p_event.corrected == 0.0
+            assessment = monitor.step(False)
+        assert assessment.corrected == 0.0
         assert assessment.expected_accuracy == pytest.approx(0.9, abs=1e-12)
 
     def test_internal_consistency_with_tree(self):
@@ -84,9 +84,9 @@ class TestObserve:
         monitor = Monitor(config(topology="rv", capacity=8, costs=CASE_STUDY_COSTS))
         rng = np.random.default_rng(3)
         for verdict in (rng.random(50) < 0.4).tolist():
-            assessment = monitor.observe(verdict)
+            assessment = monitor.step(verdict)
             params = TreeParams(
-                p_event=assessment.p_event.corrected,
+                p_event=assessment.corrected,
                 accuracies=make_full_table(0.9, 0.33).tree_accuracies(),
                 tpr=0.9,
                 tnr=0.9,
@@ -100,8 +100,8 @@ class TestObserve:
         pairs = []
         rng = np.random.default_rng(5)
         for verdict in (rng.random(200) < 0.5).tolist():
-            assessment = monitor.observe(verdict)
-            pairs.append((assessment.p_event.corrected, assessment.expected_accuracy))
+            assessment = monitor.step(verdict)
+            pairs.append((assessment.corrected, assessment.expected_accuracy))
         pairs.sort()
         for (p_low, acc_low), (p_high, acc_high) in zip(pairs, pairs[1:]):
             if p_high > p_low:
@@ -128,7 +128,7 @@ class TestObserve:
         for step_index in range(3 * window):
             rate = 0.1 if step_index < window else 0.8
             verdict = detector.judge(bool(rng.random() < rate))
-            estimates.append(monitor.observe(verdict).p_event.corrected)
+            estimates.append(monitor.step(verdict).corrected)
         # One full window after the step the trace holds only post-step data.
         assert estimates[2 * window + 10] == pytest.approx(0.8, abs=0.1)
         assert np.mean(estimates[2 * window :]) == pytest.approx(0.8, abs=0.1)
@@ -138,10 +138,10 @@ class TestObserve:
         slow = Monitor(config(capacity=10, min_fill=1, decay=1.0))
         pattern = [False] * 9 + [True]
         for verdict in pattern:
-            fast_assessment = fast.observe(verdict)
-            slow_assessment = slow.observe(verdict)
+            fast_assessment = fast.step(verdict)
+            slow_assessment = slow.step(verdict)
         # The newest positive dominates under fast decay.
-        assert fast_assessment.p_event.raw_mean > slow_assessment.p_event.raw_mean
+        assert fast_assessment.raw_mean > slow_assessment.raw_mean
 
     def test_uninformative_profile_fails_fast(self):
         with pytest.raises(UninformativeDetectorError):
@@ -149,7 +149,7 @@ class TestObserve:
 
 
 class TestDecayedMean:
-    """observe's table-driven mean against the weighted_mean loop, with ==."""
+    """step's table-driven mean against the weighted_mean loop, with ==."""
 
     @settings(max_examples=150, deadline=None, database=None)
     @given(
@@ -168,7 +168,7 @@ class TestDecayedMean:
         window = (rng.random(int(restored * capacity)) < rate).tolist()
         monitor = Monitor(config(capacity=capacity, min_fill=1, decay=decay), _window=window)
         for verdict in (rng.random(count) < rate).tolist():
-            raw = monitor.observe(verdict).p_event.raw_mean
+            raw = monitor.step(verdict).raw_mean
             assert type(raw) is float
             assert raw == weighted_mean(monitor.trace, decay)
 
@@ -191,20 +191,20 @@ class TestAlerts:
         _, risk = reference_values(0.5)
         at_boundary = Monitor(
             config(topology="rv", capacity=4, costs=CASE_STUDY_COSTS, risk_threshold=risk)
-        ).observe(False)
+        ).step(False)
         assert at_boundary.expected_risk == risk
         assert at_boundary.alert is False
         below = math.nextafter(risk, -math.inf)
         just_below = Monitor(
             config(topology="rv", capacity=4, costs=CASE_STUDY_COSTS, risk_threshold=below)
-        ).observe(False)
+        ).step(False)
         assert just_below.expected_risk == risk
         assert just_below.alert is True
 
     def test_no_costs_means_no_risk_and_no_alert(self):
         monitor = Monitor(config(capacity=2, min_fill=1, risk_threshold=100.0))
         for verdict in (False, True, True):
-            assessment = monitor.observe(verdict)
+            assessment = monitor.step(verdict)
             assert assessment.expected_risk is None
             assert assessment.alert is False
 
@@ -223,13 +223,13 @@ class TestAlerts:
         )
         rng = np.random.default_rng(13)
         for verdict in (rng.random(200) < 0.7).tolist():
-            assessment = monitor.observe(verdict)
+            assessment = monitor.step(verdict)
             assert assessment.alert == (assessment.expected_risk > CASE_STUDY_THRESHOLD)
 
     def test_no_threshold_never_alerts(self):
         monitor = Monitor(config(topology="rv", capacity=4, min_fill=1, costs=CASE_STUDY_COSTS))
         for verdict in [True] * 20:
-            assert monitor.observe(verdict).alert is False
+            assert monitor.step(verdict).alert is False
 
 
 class TestCompiledTree:
@@ -248,9 +248,9 @@ class TestCompiledTree:
         )
         rng = np.random.default_rng(23)
         for verdict in (rng.random(40) < 0.3).tolist():
-            assessment = monitor.observe(verdict)
+            assessment = monitor.step(verdict)
             assert (assessment.expected_accuracy, assessment.expected_risk) == (
-                reference_values(assessment.p_event.corrected, costs, tnr=1.0)
+                reference_values(assessment.corrected, costs, tnr=1.0)
             )
 
     def test_excluded_mode_through_config_dict(self):
@@ -263,10 +263,10 @@ class TestCompiledTree:
         rng = np.random.default_rng(29)
         differs = False
         for verdict in (rng.random(60) < 0.5).tolist():
-            assessment = monitor.observe(verdict)
-            reference = reference_values(assessment.p_event.corrected, mode="excluded")
+            assessment = monitor.step(verdict)
+            reference = reference_values(assessment.corrected, mode="excluded")
             assert (assessment.expected_accuracy, assessment.expected_risk) == reference
-            other = counted.observe(verdict)
+            other = counted.step(verdict)
             assert other.expected_risk == assessment.expected_risk
             differs = differs or other.expected_accuracy != assessment.expected_accuracy
         assert differs
@@ -275,10 +275,10 @@ class TestCompiledTree:
         payload = config(topology="rv", capacity=6).to_dict()
         payload["intervention_counts_as"] = "excluded"
         monitor = Monitor(MonitorConfig.from_dict(payload))
-        monitor.observe(True)
+        monitor.step(True)
         restored = Monitor.restore(monitor.snapshot())
         assert restored.config.intervention_counts_as == "excluded"
-        assert restored.observe(False) == monitor.observe(False)
+        assert restored.step(False) == monitor.step(False)
 
 
 class TestSnapshot:
@@ -287,10 +287,10 @@ class TestSnapshot:
         rng = np.random.default_rng(17)
         verdicts = (rng.random(30) < 0.4).tolist()
         for verdict in verdicts[:15]:
-            monitor.observe(verdict)
+            monitor.step(verdict)
         restored = Monitor.restore(monitor.snapshot())
         for verdict in verdicts[15:]:
-            assert restored.observe(verdict) == monitor.observe(verdict)
+            assert restored.step(verdict) == monitor.step(verdict)
 
     def test_round_trip_at_every_step(self):
         # Replay oracle: snapshotting after every observation changes nothing.
@@ -298,14 +298,14 @@ class TestSnapshot:
         hopped = Monitor(config(capacity=12))
         rng = np.random.default_rng(19)
         for verdict in (rng.random(1000) < 0.3).tolist():
-            expected = plain.observe(verdict)
-            actual = hopped.observe(verdict)
+            expected = plain.step(verdict)
+            actual = hopped.step(verdict)
             assert actual == expected
             hopped = Monitor.restore(hopped.snapshot())
 
     def test_snapshot_is_stable_text(self):
         monitor = Monitor(config(capacity=4))
-        monitor.observe(True)
+        monitor.step(True)
         assert monitor.snapshot() == monitor.snapshot()
 
     def test_truncated_payload_rejected(self):

@@ -1,4 +1,4 @@
-"""Monitor.observe_many against a loop of Monitor.observe, Monitor.step and Monitor.assess.
+"""Monitor.observe_many and Monitor.assess against a loop of Monitor.step.
 
 Every column of the array result must equal the loop's assessments with
 ``==`` (never approx), and the monitor must end in the state the loop
@@ -6,13 +6,12 @@ leaves, compared through ``snapshot()``.  Covered: both topologies, both
 intervention modes, priced and unpriced, decay 1 and below, min_fill
 below capacity, restored windows and calls split mid-stream.
 ``assess`` must return what ``observe_many`` returns after the same
-window, and leave its monitor's snapshot as it was.  ``step`` must return
-the fields of ``observe``'s Assessment, in STEP_FIELDS order.
+window, and leave its monitor's snapshot as it was.
 """
 
 from __future__ import annotations
 
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,14 +19,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from driftrisk.errors import ConfigurationError, ValidationError
-from driftrisk.estimation import (
-    AccuracyCell,
-    ConditionalAccuracyTable,
-    DetectorProfile,
-    RateEstimate,
-)
+from driftrisk.estimation import AccuracyCell, ConditionalAccuracyTable, DetectorProfile
 from driftrisk.event_tree import IND, IND_NEG, IND_POS, OOD, OOD_NEG, OOD_POS, OUTCOMES
-from driftrisk.monitor import STEP_FIELDS, Assessment, Monitor, MonitorConfig
+from driftrisk.monitor import Assessment, Monitor, MonitorConfig
 
 from conftest import CASE_STUDY_COSTS, CASE_STUDY_THRESHOLD, make_full_table
 
@@ -83,29 +77,13 @@ def monitor_cases(draw):
     return config, window, verdicts
 
 
-COLUMNS = (
-    "raw_mean",
-    "corrected",
-    "pre_clamp",
-    "clamped",
-    "fill_fraction",
-    "using_prior",
-    "expected_accuracy",
-    "expected_risk",
-    "alert",
-)
-ESTIMATE_FIELDS = {"raw_mean", "corrected", "pre_clamp", "clamped", "fill_fraction"}
+COLUMNS = Assessment._fields
 
 
 def loop_columns(monitor: Monitor, verdicts: list[bool]) -> dict[str, list]:
-    """The observe loop's assessments, as the columns of Assessments."""
-    assessments = [monitor.observe(verdict) for verdict in verdicts]
-    return {
-        name: [
-            getattr(a.p_event if name in ESTIMATE_FIELDS else a, name) for a in assessments
-        ]
-        for name in COLUMNS
-    }
+    """The step loop's assessments, as the columns of observe_many's Assessment."""
+    assessments = [monitor.step(verdict) for verdict in verdicts]
+    return {name: [getattr(a, name) for a in assessments] for name in COLUMNS}
 
 
 def array_columns(result) -> dict[str, list]:
@@ -113,9 +91,9 @@ def array_columns(result) -> dict[str, list]:
     for name in COLUMNS:
         column = getattr(result, name)
         if column is None:  # unpriced: no risk column
-            columns[name] = [None] * len(result)
+            columns[name] = [None] * len(result.alert)
         else:
-            assert isinstance(column, np.ndarray) and column.shape == (len(result),), name
+            assert isinstance(column, np.ndarray) and column.shape == (len(result.alert),), name
             columns[name] = column.tolist()
     return columns
 
@@ -205,39 +183,29 @@ def test_assess_equals_observe_many_and_changes_nothing(case):
         assert monitor.snapshot() == before
 
 
-def step_columns(monitor: Monitor, verdicts: list[bool]) -> dict[str, list]:
-    """Monitor.step's fields for each verdict, as the columns of Assessments."""
-    steps = [monitor.step(verdict) for verdict in verdicts]
-    return {name: [fields[STEP_FIELDS.index(name)] for fields in steps] for name in COLUMNS}
-
-
 @PROPERTY_SETTINGS
 @given(case=monitor_cases(), integer_prior=st.booleans())
 @example(case=alerting_case(1.0, None), integer_prior=False)
 @example(case=alerting_case(0.9, 3), integer_prior=True)
-def test_step_equals_observe_and_observe_many(case, integer_prior):
+def test_step_equals_observe_many(case, integer_prior):
     config, window, verdicts = case
     if integer_prior:
         config = replace(config, prior_rate=round(config.prior_rate))
-    stepped, observed, whole = (Monitor(config, _window=window) for _ in range(3))
+    stepped, whole = (Monitor(config, _window=window) for _ in range(2))
     try:
-        expected = loop_columns(observed, verdicts)
+        columns = loop_columns(stepped, verdicts)
     except ConfigurationError:
         # "excluded" with every reachable leaf an intervention at this rate.
         with pytest.raises(ConfigurationError):
-            step_columns(stepped, verdicts)
+            whole.observe_many(np.array(verdicts, dtype=bool))
         return
-    columns = step_columns(stepped, verdicts)
-    assert columns == expected
     assert all(type(value) is float for value in columns["corrected"])
-    assert stepped.snapshot() == observed.snapshot()
-    assert array_columns(whole.observe_many(np.array(verdicts, dtype=bool))) == expected
+    assert array_columns(whole.observe_many(np.array(verdicts, dtype=bool))) == columns
+    assert whole.snapshot() == stepped.snapshot()
 
 
-def test_step_fields_are_an_assessments_fields():
-    estimate = [f.name for f in fields(RateEstimate)]
-    own = [f.name for f in fields(Assessment) if f.name != "p_event"]
-    assert list(STEP_FIELDS) == estimate + own
+def test_observe_is_step():
+    assert Monitor.observe is Monitor.step
 
 
 def test_alerting_case_alerts_on_some_verdicts():
@@ -268,7 +236,7 @@ class TestInputs:
         monitor = case_monitor(costs={outcome: 1.0 for outcome in OUTCOMES})
         before = monitor.snapshot()
         result = monitor.observe_many(np.array([], dtype=bool))
-        assert len(result) == 0
+        assert len(result.alert) == 0
         for name in COLUMNS:
             assert getattr(result, name).shape == (0,)
         assert monitor.snapshot() == before
